@@ -102,6 +102,28 @@ if [ -n "$router_hits" ]; then
     status=1
 fi
 
+# State discipline: a store instance is its counters and weight map plus
+# the samples queries read, all rebuilt from the weights. A VarOpt
+# reservoir under lib/server was state no query read, fed on every
+# ingest record; it stays out.
+varopt_hits=$(grep -rn 'Varopt' "$root/lib/server" --include='*.ml' 2>/dev/null)
+if [ -n "$varopt_hits" ]; then
+    echo "lint: Varopt is banned under lib/server — the store keeps only state a query reads:" >&2
+    echo "$varopt_hits" >&2
+    status=1
+fi
+
+# Per-key list lookups are how the sum aggregates went quadratic (one
+# List.assoc_opt walk per sampled key). Serving code and the dominance
+# norms index a sample once instead.
+assoc_hits=$(grep -rn 'List\.assoc' "$root/lib/server" "$root/lib/aggregates/dominance.ml" \
+    --include='*.ml' 2>/dev/null)
+if [ -n "$assoc_hits" ]; then
+    echo "lint: List.assoc is banned under lib/server and in lib/aggregates/dominance.ml — index the sample once:" >&2
+    echo "$assoc_hits" >&2
+    status=1
+fi
+
 # Hot-path discipline: the per-key evaluator modules must stay off the
 # polymorphic runtime. `Stdlib.compare`/bare `compare` walks tags and
 # boxes floats; `Hashtbl.hash` hashes structure (and is why derivation

@@ -72,11 +72,10 @@ let of_summaries seeds summaries =
     samples;
   }
 
-let key_outcome t h =
+(* The outcome of key [h] given each sample's sampled value of [h]. *)
+let outcome t h ~value =
   let r = Array.length t.samples in
-  let values =
-    Array.init r (fun i -> List.assoc_opt h t.samples.(i).P.entries)
-  in
+  let values = Array.init r value in
   let seeds =
     (* Recompute each seed at the sample's *recorded* instance id, not its
        array position: a caller may assemble samples of instances 3 and 7,
@@ -88,7 +87,11 @@ let key_outcome t h =
   in
   { O.taus = t.taus; seeds; values }
 
+let key_outcome t h =
+  outcome t h ~value:(fun i -> List.assoc_opt h t.samples.(i).P.entries)
+
 module ISet = Set.Make (Int)
+module ITbl = Hashtbl.Make (Int)
 
 let sampled_keys t =
   Array.fold_left
@@ -97,9 +100,23 @@ let sampled_keys t =
     ISet.empty t.samples
   |> ISet.elements
 
+(* Each sample indexed once per call, keeping the first binding of a
+   duplicated key — [key_outcome]'s answer without its per-key list
+   walk, which made a sum over n sampled keys cost O(n²). *)
 let estimate t ~est ~select =
+  let index (s : P.pps) =
+    let tbl = ITbl.create (max 16 (List.length s.P.entries)) in
+    List.iter
+      (fun (h, v) -> if not (ITbl.mem tbl h) then ITbl.add tbl h v)
+      s.P.entries;
+    tbl
+  in
+  let idx = Array.map index t.samples in
   List.fold_left
-    (fun acc h -> if select h then acc +. est (key_outcome t h) else acc)
+    (fun acc h ->
+      if select h then
+        acc +. est (outcome t h ~value:(fun i -> ITbl.find_opt idx.(i) h))
+      else acc)
     0. (sampled_keys t)
 
 module EB = Estcore.Evalbuf

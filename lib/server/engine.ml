@@ -196,16 +196,22 @@ let run_distinct st insts =
       [ ("estimate", P.jfloat l); ("estimator", P.jstr "distinct-multi-l");
         ("ht", P.jfloat ht) ]
 
+(* The max-dominance norm is the sum aggregate of max, so its HT and
+   L estimates are the very sums [run_max] computes. *)
 let run_dominance st insts =
   let ps = pps_samples_of st insts in
   let r = List.length insts in
-  let max_ht = Aggregates.Dominance.max_dominance_ht ps ~select:select_all in
+  let max_ht =
+    Aggregates.Sum_agg.estimate_flat ps ~est:`Max_ht ~select:select_all
+  in
   let min_ht = Aggregates.Dominance.min_dominance_ht ps ~select:select_all in
   let fields =
     [ ("max_ht", P.jfloat max_ht); ("min_ht", P.jfloat min_ht) ]
   in
   if r = 2 then
-    let l = Aggregates.Dominance.max_dominance_l ps ~select:select_all in
+    let l =
+      Aggregates.Sum_agg.estimate_flat ps ~est:`Max_l ~select:select_all
+    in
     (("estimate", P.jfloat l) :: ("estimator", P.jstr "maxdom-l") :: fields)
   else
     (("estimate", P.jfloat max_ht) :: ("estimator", P.jstr "maxdom-ht")
@@ -311,8 +317,7 @@ let instance_stats inst =
            ( "bk_size",
              P.jint
                (List.length (Store.bottom_k inst).Sampling.Bottom_k.entries) );
-           ("binary_size", P.jint (List.length (Store.binary_sample inst)));
-           ("varopt_size", P.jint (List.length (Store.varopt_entries inst))) ])
+           ("binary_size", P.jint (List.length (Store.binary_sample inst))) ])
   ^ "}"
 
 let shard_stats_json st =
@@ -374,27 +379,27 @@ let handle_request t req =
   match req with
   | P.Hello _ -> (P.ok_fields [ ("protocol", P.jint P.version) ], Continue)
   | P.Create { name; tau; k; p } -> (
-      (* Pre-resolve defaults and pre-check the name so the logged op is
-         self-contained (replay is independent of server defaults) and
-         logging cannot be followed by a failing apply. *)
+      (* Pre-resolve defaults and run the store's own check so the logged
+         op is self-contained (replay is independent of server defaults)
+         and logging cannot be followed by a failing apply. *)
       let cfg = Store.config st in
       let tau = Option.value tau ~default:cfg.Store.default_tau in
       let k = Option.value k ~default:cfg.Store.default_k in
       let p = Option.value p ~default:cfg.Store.default_p in
-      if Store.find st name <> None then
-        (P.error (Printf.sprintf "instance %S already exists" name), Continue)
-      else
-        match log_op t (Wal.Create { name; tau; k; p }) with
-        | Error m -> (P.error ~kind:"wal" m, Continue)
-        | Ok () -> (
-            match Store.create_instance st ~name ~tau ~k ~p () with
-            | Ok inst ->
-                ( P.ok_fields
-                    [ ("name", P.jstr name); ("id", P.jint (Store.id inst));
-                      ("tau", P.jfloat tau); ("k", P.jint k);
-                      ("p", P.jfloat p) ],
-                  Continue )
-            | Error m -> (P.error m, Continue)))
+      match Store.check_create st ~name { Store.tau; k; p } with
+      | Error m -> (P.error m, Continue)
+      | Ok () -> (
+          match log_op t (Wal.Create { name; tau; k; p }) with
+          | Error m -> (P.error ~kind:"wal" m, Continue)
+          | Ok () -> (
+              match Store.create_instance st ~name ~tau ~k ~p () with
+              | Ok inst ->
+                  ( P.ok_fields
+                      [ ("name", P.jstr name); ("id", P.jint (Store.id inst));
+                        ("tau", P.jfloat tau); ("k", P.jint k);
+                        ("p", P.jfloat p) ],
+                    Continue )
+              | Error m -> (P.error m, Continue))))
   | P.Ingest { name; key; weight } -> (
       match Store.check_ingest st ~name ~weight with
       | Error (Store.Overloaded { depth; limit }) ->

@@ -1,73 +1,36 @@
 (* Bit-deterministic merge of instance summaries — the algebra cluster
    mode stands on.
 
-   Every live summary the store keeps is a pure function of the
-   accumulated per-key weights and the recorded seeds (see Store), so
-   merging two stores' summaries reduces to merging their weight maps
-   and re-deriving the few entries whose inputs changed:
-
-   - weights: pointwise sum (keys in one side copy through);
-   - binary support sample: plain union — membership is [u(h) <= p],
-     decided by the seed alone, so the support of a union is the union
-     of the supports, exactly;
-   - PPS sample: union with the inclusion predicate re-tested for
-     overlap keys. A key held by one side keeps its membership (its
-     weight did not change); a key held by both may newly cross
-     [u(h)·tau] once the weights add (each side below threshold, the sum
-     above), so its predicate is recomputed from the merged weight —
-     this is the max-tau conditioning for equal taus, which the
-     instance-config compatibility check enforces;
-   - bottom-k: union of the two k+1-smallest working sets plus every
-     overlap key, ranks recomputed from merged weights where the weight
-     changed, then the k+1 smallest (rank, key) pairs are kept. The
-     candidate set provably contains the true working set of the merged
-     weights: ranks are monotone nonincreasing in the weight, so a
-     single-side key outside its store's working set was already beaten
-     by k+1 pairs that only shrink under merge;
-   - records: integer sum; volume: float sum.
-
-   Hence merge(ingest A, ingest B) ≡ ingest(A ∪ B) whenever the per-key
-   weight sums are themselves exact — trivially so when the key sets are
-   disjoint, which is precisely what the router's hash placement
-   guarantees (each key owned by one daemon). The VarOpt reservoir is
-   not merged at summary level; Store.install_summary rebuilds it
-   canonically from the merged weights (the snapshot-restore law), and
-   no query kind reads it. *)
-
-module Seeds = Sampling.Seeds
+   A summary is an instance's counters and weight map; every sample a
+   query reads is a pure function of the weights and the recorded seeds,
+   rebuilt by Store.install_summary. So merging two stores' summaries is
+   only: weights summed pointwise (keys in one side copy through),
+   records summed, volumes summed. Hence merge(ingest A, ingest B) ≡
+   ingest(A ∪ B) whenever the per-key weight sums are themselves exact —
+   trivially so when the key sets are disjoint, which is precisely what
+   the router's hash placement guarantees (each key owned by one
+   daemon). *)
 
 let icfg_equal (a : Store.instance_config) (b : Store.instance_config) =
   Float.equal a.Store.tau b.Store.tau
   && a.Store.k = b.Store.k
   && Float.equal a.Store.p b.Store.p
 
-let rank_compare (r1, k1) (r2, k2) =
-  match Float.compare r1 r2 with 0 -> Int.compare k1 k2 | c -> c
-
-(* Sorted-assoc merge of the weight maps; also records which keys both
-   sides held (those are the only entries whose summaries must be
-   re-derived). *)
+(* Sorted-assoc sum of the weight maps. *)
 let merge_weights wa wb =
-  let overlap = Hashtbl.create 64 in
   let rec go wa wb acc =
     match (wa, wb) with
     | [], rest | rest, [] -> List.rev_append acc rest
     | (ka, va) :: ta, (kb, vb) :: tb ->
         if ka < kb then go ta wb ((ka, va) :: acc)
         else if kb < ka then go wa tb ((kb, vb) :: acc)
-        else begin
-          Hashtbl.replace overlap ka ();
-          go ta tb ((ka, va +. vb) :: acc)
-        end
+        else go ta tb ((ka, va +. vb) :: acc)
   in
-  (go wa wb [], overlap)
+  go wa wb []
 
-let key_set l =
-  let t = Hashtbl.create (max 16 (List.length l)) in
-  List.iter (fun (k, _) -> Hashtbl.replace t k ()) l;
-  t
-
-let merge seeds (a : Store.summary) (b : Store.summary) =
+(* [_seeds] is kept in the signature so callers state the seed universe
+   the summaries share; the sum itself does not read it. *)
+let merge _seeds (a : Store.summary) (b : Store.summary) =
   if a.Store.s_name <> b.Store.s_name then
     Error
       (Printf.sprintf "cannot merge instance %S with %S" a.Store.s_name
@@ -82,71 +45,14 @@ let merge seeds (a : Store.summary) (b : Store.summary) =
          "instance %S has different tau/k/p on the two sides (cluster \
           CREATE must fan identical parameters to every daemon)"
          a.Store.s_name)
-  else begin
-    let id = a.Store.s_id in
-    let tau = a.Store.s_cfg.Store.tau and k = a.Store.s_cfg.Store.k in
-    let weights, overlap = merge_weights a.Store.s_weights b.Store.s_weights in
-    (* PPS: walk the merged weights; single-side keys keep their
-       recorded membership, overlap keys re-test the predicate. The
-       recorded PPS value is always refreshed to the merged weight
-       (which for single-side keys is the recorded value already). *)
-    let ppsa = key_set a.Store.s_pps and ppsb = key_set b.Store.s_pps in
-    let pps =
-      List.filter
-        (fun (key, v) ->
-          if Hashtbl.mem overlap key then
-            let u = Seeds.seed seeds ~instance:id ~key in
-            v >= u *. tau
-          else Hashtbl.mem ppsa key || Hashtbl.mem ppsb key)
-        weights
-    in
-    (* Binary: exact union (both sides sorted; dedupe overlap keys). *)
-    let rec bunion xs ys acc =
-      match (xs, ys) with
-      | [], rest | rest, [] -> List.rev_append acc rest
-      | x :: tx, y :: ty ->
-          if x < y then bunion tx ys (x :: acc)
-          else if y < x then bunion xs ty (y :: acc)
-          else bunion tx ty (x :: acc)
-    in
-    let binary = bunion a.Store.s_binary b.Store.s_binary [] in
-    (* Bottom-k: candidates = both working sets (recorded ranks stand
-       for single-side keys) plus every overlap key (rank recomputed
-       from the merged weight); keep the k+1 smallest. *)
-    let wtbl = Hashtbl.create (max 16 (List.length weights)) in
-    List.iter (fun (key, v) -> Hashtbl.replace wtbl key v) weights;
-    let cand = Hashtbl.create 64 in
-    let add_recorded (rank, key) =
-      if not (Hashtbl.mem overlap key) then Hashtbl.replace cand key rank
-    in
-    List.iter add_recorded a.Store.s_bk;
-    List.iter add_recorded b.Store.s_bk;
-    Hashtbl.iter
-      (fun key () ->
-        let w = Hashtbl.find wtbl key in
-        Hashtbl.replace cand key
-          (Seeds.rank seeds Sampling.Rank.PPS ~instance:id ~key ~w))
-      overlap;
-    let rec take n = function
-      | [] -> []
-      | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-    in
-    let bk =
-      Hashtbl.fold (fun key rank acc -> (rank, key) :: acc) cand []
-      |> List.sort rank_compare
-      |> take (k + 1)
-    in
+  else
     Ok
       {
         a with
         Store.s_records = a.Store.s_records + b.Store.s_records;
         s_volume = a.Store.s_volume +. b.Store.s_volume;
-        s_weights = weights;
-        s_pps = pps;
-        s_binary = binary;
-        s_bk = bk;
+        s_weights = merge_weights a.Store.s_weights b.Store.s_weights;
       }
-  end
 
 let merge_all seeds = function
   | [] -> Error "cannot merge an empty list of summaries"
@@ -157,15 +63,12 @@ let merge_all seeds = function
 
 (* --- wire payload ---
 
-   Line-oriented, floats as lossless hex literals, every section sorted
-   (the summary invariant), so the payload is byte-stable and parses
+   Line-oriented, floats as lossless hex literals, weights ascending by
+   key (the summary invariant), so the payload is byte-stable and parses
    back to the exact same summary:
 
      summary <name> <id> <tau> <k> <p> <records> <volume>
      w <key> <weight>      (ascending key)
-     s <key> <value>       (ascending key)
-     b <key>               (ascending)
-     r <key> <rank>        (ascending (rank, key))
      end
 *)
 
@@ -175,19 +78,9 @@ let payload (s : Store.summary) =
     Printf.sprintf "summary %s %d %h %d %h %d %h" s.Store.s_name s.Store.s_id
       cfg.Store.tau cfg.Store.k cfg.Store.p s.Store.s_records s.Store.s_volume
   in
-  header
-  :: List.concat
-       [
-         List.map
-           (fun (k, v) -> Printf.sprintf "w %d %h" k v)
-           s.Store.s_weights;
-         List.map (fun (k, v) -> Printf.sprintf "s %d %h" k v) s.Store.s_pps;
-         List.map (fun k -> Printf.sprintf "b %d" k) s.Store.s_binary;
-         List.map
-           (fun (rank, key) -> Printf.sprintf "r %d %h" key rank)
-           s.Store.s_bk;
-         [ "end" ];
-       ]
+  (header
+  :: List.map (fun (k, v) -> Printf.sprintf "w %d %h" k v) s.Store.s_weights)
+  @ [ "end" ]
 
 let ( let* ) = Result.bind
 
@@ -213,14 +106,14 @@ let parse_header line =
         Error (Printf.sprintf "invalid instance name %S" name)
       else
         let* id = p_int "instance id" id in
-        let* tau = p_pos_float "tau" tau in
+        let* tau = p_float "tau" tau in
         let* k = p_int "k" k in
-        let* p = p_pos_float "p" p in
+        let* p = p_float "p" p in
         let* records = p_int "records" records in
         let* volume = p_float "volume" volume in
+        let s_cfg = { Store.tau; k; p } in
+        let* () = Store.validate_config s_cfg in
         if id < 0 then Error (Printf.sprintf "negative instance id %d" id)
-        else if k <= 0 then Error (Printf.sprintf "k %d must be > 0" k)
-        else if p > 1. then Error (Printf.sprintf "p %g out of (0,1]" p)
         else if records < 0 then
           Error (Printf.sprintf "negative record count %d" records)
         else if volume < 0. then
@@ -230,13 +123,10 @@ let parse_header line =
             {
               Store.s_name = name;
               s_id = id;
-              s_cfg = { Store.tau; k; p };
+              s_cfg;
               s_records = records;
               s_volume = volume;
               s_weights = [];
-              s_pps = [];
-              s_binary = [];
-              s_bk = [];
             }
   | _ ->
       Error
@@ -245,98 +135,34 @@ let parse_header line =
             got %S"
            line)
 
-(* Strict section parser: sections must arrive in w, s, b, r order, each
-   ascending (the byte-stability contract doubles as a corruption
-   check), every sampled key must be a weighted key, and the working set
-   must fit k+1. *)
+(* Strict parser: weights strictly ascending by key (the byte-stability
+   contract doubles as a corruption and duplicate check). *)
 let of_lines lines =
   match lines with
   | [] -> Error "empty summary payload"
   | header :: rest ->
       let* base = parse_header header in
-      let k = base.Store.s_cfg.Store.k in
-      let wtbl = Hashtbl.create 256 in
-      let sampled what key =
-        if Hashtbl.mem wtbl key then Ok ()
-        else Error (Printf.sprintf "%s key %d has no weight entry" what key)
-      in
-      (* [sec] orders sections; [last] enforces ascending order inside
-         one section. *)
-      let rec go sec last acc_w acc_s acc_b acc_r = function
+      let rec go acc = function
         | [] -> Error "truncated summary payload (missing 'end')"
-        | "end" :: [] ->
-            let bk = List.rev acc_r in
-            if List.length bk > k + 1 then
-              Error
-                (Printf.sprintf "bottom-k working set larger than k+1 = %d"
-                   (k + 1))
-            else
-              Ok
-                {
-                  base with
-                  Store.s_weights = List.rev acc_w;
-                  s_pps = List.rev acc_s;
-                  s_binary = List.rev acc_b;
-                  s_bk = bk;
-                }
+        | [ "end" ] -> Ok { base with Store.s_weights = List.rev acc }
         | "end" :: _ -> Error "trailing garbage after 'end'"
         | line :: rest -> (
-            (* Compare against the previous key only when it belongs to
-               the {e same} section as this line ([mysec]); the first
-               line of a new section starts a fresh ascending chain. *)
-            let ascending what mysec order key =
-              match last with
-              | Some (s, prev) when s = mysec && order key prev <= 0 ->
-                  Error (Printf.sprintf "%s keys out of order at %d" what key)
-              | _ -> Ok ()
-            in
             match String.split_on_char ' ' line with
-            | [ "w"; key; v ] when sec <= 0 ->
+            | [ "w"; key; v ] -> (
                 let* key = p_int "weight key" key in
                 let* v = p_pos_float "weight" v in
-                let* () = ascending "weight" 0 Int.compare key in
-                Hashtbl.replace wtbl key v;
-                go 0
-                  (Some (0, key))
-                  ((key, v) :: acc_w) acc_s acc_b acc_r rest
-            | [ "s"; key; v ] when sec <= 1 ->
-                let* key = p_int "pps key" key in
-                let* v = p_pos_float "pps value" v in
-                let* () = ascending "pps" 1 Int.compare key in
-                let* () = sampled "pps" key in
-                go 1
-                  (Some (1, key))
-                  acc_w ((key, v) :: acc_s) acc_b acc_r rest
-            | [ "b"; key ] when sec <= 2 ->
-                let* key = p_int "binary key" key in
-                let* () = ascending "binary" 2 Int.compare key in
-                let* () = sampled "binary" key in
-                go 2 (Some (2, key)) acc_w acc_s (key :: acc_b) acc_r rest
-            | [ "r"; key; rank ] when sec <= 3 ->
-                let* key = p_int "bottom-k key" key in
-                let* rank = p_float "rank" rank in
-                (* (rank, key) pairs ascend; encode the pair order on the
-                   key axis via the accumulated list head instead. *)
-                let* () =
-                  match acc_r with
-                  | (r0, k0) :: _ when rank_compare (rank, key) (r0, k0) <= 0
-                    ->
-                      Error
-                        (Printf.sprintf "bottom-k pairs out of order at %d" key)
-                  | _ -> Ok ()
-                in
-                let* () = sampled "bottom-k" key in
-                go 3 (Some (3, key)) acc_w acc_s acc_b ((rank, key) :: acc_r)
-                  rest
+                match acc with
+                | (prev, _) :: _ when key <= prev ->
+                    Error (Printf.sprintf "weight keys out of order at %d" key)
+                | _ -> go ((key, v) :: acc) rest)
             | _ ->
                 Error
                   (Printf.sprintf
-                     "bad summary line %S (expected 'w <key> <weight>', 's \
-                      <key> <value>', 'b <key>', 'r <key> <rank>' or 'end', \
-                      sections in that order)"
+                     "bad summary line %S (expected 'w <key> <weight>' or \
+                      'end')"
                      line))
       in
-      go 0 None [] [] [] [] rest
+      go [] rest
 
 (* Build a queryable store from merged summaries: instances are
    installed under their recorded ids (seed derivations match the

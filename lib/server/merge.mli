@@ -1,25 +1,11 @@
 (** Bit-deterministic merge of instance summaries — the algebra behind
     cluster mode.
 
-    Every {!Store} summary is a pure function of the accumulated per-key
-    weights and the recorded seeds, so merging reduces to summing the
-    weight maps and re-deriving only the entries whose inputs changed:
-
-    - {b weights / volume / records} — pointwise (float / int) sums;
-    - {b binary support} — exact union ([u(h) ≤ p] depends on the seed
-      alone);
-    - {b PPS} — union, with the inclusion predicate [v ≥ u(h)·tau]
-      re-tested for keys both sides held (each side may sit below the
-      threshold while the sum crosses it); recorded values are refreshed
-      to the merged weights;
-    - {b bottom-k} — union of the two [k+1]-smallest working sets plus
-      every overlap key (ranks recomputed from merged weights where the
-      weight changed), truncated to the [k+1] smallest [(rank, key)]
-      pairs. Ranks are monotone nonincreasing in the weight, so this
-      candidate set provably contains the true working set of the union;
-    - {b VarOpt} — rebuilt canonically from the merged weights at
-      {!Store.install_summary} time (the snapshot-restore law; no query
-      kind reads the reservoir).
+    A {!Store.summary} is an instance's counters and its accumulated
+    per-key weights; every sample a query reads is a pure function of
+    those weights and the recorded seeds, rebuilt when the summary is
+    installed ({!Store.install_summary}). Merging therefore only sums:
+    weights pointwise, records and volume as totals.
 
     Laws, tested in [test/test_merge.ml]: [merge] is commutative,
     associative up to bit-identity, has the empty summary as identity,
@@ -28,16 +14,17 @@
     when the key sets are disjoint, which the {!Router}'s hash placement
     guarantees.
 
-    Both stores must share the seed universe (same master seed and
-    mode — the [seeds] argument) and the two sides of a merge must agree
-    on instance name, id and [tau]/[k]/[p]; anything else is an
-    [Error]. *)
+    The two sides of a merge must agree on instance name, id and
+    [tau]/[k]/[p]; anything else is an [Error]. *)
 
 val merge :
   Sampling.Seeds.t ->
   Store.summary ->
   Store.summary ->
   (Store.summary, string) result
+(** The seeds name the universe both stores share (same master seed and
+    mode); the sum does not read them, since samples are rebuilt at
+    install time. *)
 
 val merge_all :
   Sampling.Seeds.t -> Store.summary list -> (Store.summary, string) result
@@ -45,15 +32,12 @@ val merge_all :
 
 (** {2 Wire payload}
 
-    Line-oriented, floats as lossless [%h] hex literals, every section
-    sorted (byte-stable — the same guarantee as the snapshot format):
+    Line-oriented, floats as lossless [%h] hex literals, weights sorted
+    by key (byte-stable — the same guarantee as the snapshot format):
 
     {v
     summary <name> <id> <tau> <k> <p> <records> <volume>
     w <key> <weight>      (ascending key)
-    s <key> <value>       (ascending key)
-    b <key>               (ascending)
-    r <key> <rank>        (ascending (rank, key))
     end
     v} *)
 
@@ -61,9 +45,9 @@ val payload : Store.summary -> string list
 (** Serialize; [of_lines (payload s) = Ok s]. *)
 
 val of_lines : string list -> (Store.summary, string) result
-(** Strict parse: wrong section order, out-of-order keys, non-finite
-    numbers, sampled keys without a weight entry, an oversized working
-    set and trailing garbage are all errors. *)
+(** Strict parse: parameters outside {!Store.validate_config}, keys not
+    strictly ascending, non-finite or non-positive weights, a missing
+    [end] and trailing garbage are all errors. *)
 
 val materialize :
   ?pool:Numerics.Pool.t ->

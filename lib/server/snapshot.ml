@@ -24,13 +24,14 @@ let to_string st =
        cfg.Store.default_p cfg.Store.flush_every (List.length insts));
   List.iter
     (fun inst ->
-      let icfg = Store.instance_config inst in
+      let s = Store.export_summary inst in
+      let icfg = s.Store.s_cfg in
       Buffer.add_string buf
-        (Printf.sprintf "instance %s %d %h %d %h\n" (Store.name inst)
-           (Store.id inst) icfg.Store.tau icfg.Store.k icfg.Store.p);
-      Sampling.Instance.iter
-        (fun k v -> Buffer.add_string buf (Printf.sprintf "%d %h\n" k v))
-        (Store.to_instance inst);
+        (Printf.sprintf "instance %s %d %h %d %h\n" s.Store.s_name
+           s.Store.s_id icfg.Store.tau icfg.Store.k icfg.Store.p);
+      List.iter
+        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%d %h\n" k v))
+        s.Store.s_weights;
       Buffer.add_string buf "end\n")
     insts;
   Buffer.contents buf
@@ -98,14 +99,16 @@ let parse_instance_header n line =
       let* tau = parse_pos_float n "tau" tau in
       let* k = parse_int n "k" k in
       let* p = parse_pos_float n "p" p in
-      if k <= 0 then err n (Printf.sprintf "k %d must be > 0" k)
-      else if p > 1. then err n (Printf.sprintf "p %g out of (0,1]" p)
-      else Ok (name, id, tau, k, p)
+      Ok (name, id, { Store.tau; k; p })
   | _ ->
       err n
         (Printf.sprintf
            "expected 'instance <name> <id> <tau> <k> <p>', got %S" line)
 
+(* The restore rule: an instance comes back as the summary of its
+   weights — [records] is the key count and [volume] the weights summed
+   in ascending key order — installed by the same path a merged PULL
+   takes, so its samples are rebuilt exactly. *)
 let of_string_r ?pool ?shards s =
   match lines_of_string s with
   | [] -> err 0 "empty input"
@@ -132,9 +135,7 @@ let of_string_r ?pool ?shards s =
       let rec instances seen lines =
         if seen = count then
           match lines with
-          | [] ->
-              Store.flush st;
-              Ok st
+          | [] -> Ok st
           | (n, l) :: _ ->
               err n (Printf.sprintf "trailing garbage after %d instance(s): %S"
                        count l)
@@ -144,44 +145,46 @@ let of_string_r ?pool ?shards s =
               err 0
                 (Printf.sprintf "truncated snapshot: %d of %d instance(s)"
                    seen count)
-          | (n, l) :: lines -> (
-              let* name, id, tau, k, p = parse_instance_header n l in
+          | (n, l) :: lines ->
+              let* name, id, s_cfg = parse_instance_header n l in
               if id <> seen then
                 err n
                   (Printf.sprintf
                      "instance id %d out of order (expected %d)" id seen)
-              else
-                match Store.create_instance st ~name ~tau ~k ~p () with
-                | Error m -> err n m
-                | Ok _ -> entries name (Hashtbl.create 64) lines)
-      and entries name seen lines =
+              else entries (n, name, id, s_cfg) [] lines
+      and entries ((n, name, id, s_cfg) as inst) acc lines =
         match lines with
         | [] -> err 0 (Printf.sprintf "missing 'end' for instance %S" name)
-        | (_, "end") :: lines ->
-            instances (Store.id (Option.get (Store.find st name)) + 1) lines
-        | (n, l) :: lines -> (
+        | (_, "end") :: lines -> (
+            let s_weights = List.rev acc in
+            let summary =
+              {
+                Store.s_name = name;
+                s_id = id;
+                s_cfg;
+                s_records = List.length s_weights;
+                s_volume =
+                  List.fold_left (fun v (_, w) -> v +. w) 0. s_weights;
+                s_weights;
+              }
+            in
+            match Store.install_summary st summary with
+            | Error m -> err n m
+            | Ok _ -> instances (id + 1) lines)
+        | (ln, l) :: lines -> (
             match String.split_on_char ' ' l with
             | [ k; v ] -> (
-                let* key = parse_int n "key" k in
-                let* weight = parse_pos_float n "weight" v in
-                match Hashtbl.find_opt seen key with
-                | Some first ->
-                    err n
-                      (Printf.sprintf
-                         "duplicate key %d (first seen on line %d)" key first)
-                | None -> (
-                    Hashtbl.add seen key n;
-                    match Store.ingest st ~name ~key ~weight with
-                    | Ok () -> entries name seen lines
-                    | Error (Store.Overloaded _) -> (
-                        (* Replay outruns the drain; shedding here would
-                           drop snapshotted records. Flush and retry. *)
-                        Store.flush st;
-                        match Store.ingest st ~name ~key ~weight with
-                        | Ok () -> entries name seen lines
-                        | Error e -> err n (Store.ingest_error_to_string e))
-                    | Error e -> err n (Store.ingest_error_to_string e)))
-            | _ -> err n "expected two fields '<int-key> <hex-float>' or 'end'")
+                let* key = parse_int ln "key" k in
+                let* weight = parse_pos_float ln "weight" v in
+                match acc with
+                | (prev, _) :: _ when key = prev ->
+                    err ln (Printf.sprintf "duplicate key %d" key)
+                | (prev, _) :: _ when key < prev ->
+                    err ln
+                      (Printf.sprintf "key %d out of order (after %d)" key prev)
+                | _ -> entries inst ((key, weight) :: acc) lines)
+            | _ ->
+                err ln "expected two fields '<int-key> <hex-float>' or 'end'")
       in
       instances 0 rest
 

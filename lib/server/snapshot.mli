@@ -12,16 +12,15 @@
     ...                       (n instance sections, in id order)
     v}
 
-    Loading recreates the store (instances in id order, so ids — and
-    therefore seed derivations — are preserved) and {e replays} each
-    key's accumulated weight as one record. PPS, bottom-k and binary
-    summaries depend only on the accumulated weights and the recorded
-    seeds, so after the replay they are bit-identical to the summaries at
-    snapshot time — re-queries answer identically. The VarOpt reservoir
-    is rebuilt by the same replay (its stream randomness is consumed
-    per-record, so it is a fresh draw over the aggregated stream, not the
-    original reservoir); the per-instance [records] counter likewise
-    restarts at the key count.
+    Loading recreates the store with each instance restored as a
+    {!Store.summary} of its weights and installed by
+    {!Store.install_summary} — the path a merged PULL takes — under its
+    recorded id, so seed derivations are preserved. PPS, bottom-k and
+    binary samples depend only on the accumulated weights and the
+    recorded seeds, so the rebuilt samples are bit-identical to those at
+    snapshot time and re-queries answer identically. The counters follow
+    the restore rule: [records] is the key count and [volume] the
+    weights summed in ascending key order.
 
     The shard count is {e not} part of the snapshot: summaries never
     depend on it, so the loader picks its own (default
@@ -38,9 +37,11 @@ val of_string_r :
   ?shards:int ->
   string ->
   (Store.t, Sampling.Io.parse_error) result
-(** Parse and replay. Strict: bad headers, malformed entries, duplicate
-    keys, non-positive weights, out-of-order instance ids and trailing
-    garbage are all structured errors. *)
+(** Parse and restore. Strict: bad headers, parameters outside
+    {!Store.validate_config}, malformed entries, keys that are not
+    strictly ascending (duplicates included), non-positive weights,
+    out-of-order instance ids and trailing garbage are all structured
+    errors. *)
 
 val write : Store.t -> path:string -> (int, string) result
 (** Write to a file {e atomically} (via {!Durable.write_file_atomic}:

@@ -47,8 +47,6 @@ type instance = {
   binary_tbl : (int, unit) Hashtbl.t;
   mutable bk_set : RankSet.t;
   bk_rank : (int, float) Hashtbl.t;  (* key -> rank, for keys in bk_set *)
-  vo : Sampling.Varopt.t;
-  vo_rng : Numerics.Prng.t;
 }
 
 type record = { r_inst : instance; r_key : int; r_weight : float }
@@ -95,42 +93,26 @@ let config t = t.cfg
 let seeds t = t.t_seeds
 let pool t = Lazy.force t.t_pool
 
-let create_instance t ~name ?tau ?k ?p () =
+(* The one check on instance parameters, shared by every way an
+   instance comes into being (CREATE, WAL replay, snapshot restore,
+   merge payloads): k + 1 must not overflow (the bottom-k working set
+   holds k + 1 pairs), and tau/p must make the inclusion predicates
+   meaningful. *)
+let validate_config { tau; k; p } =
+  if not (Float.is_finite tau && tau > 0.) then
+    Error (Printf.sprintf "tau %g must be finite and > 0" tau)
+  else if k < 1 || k = max_int then
+    Error (Printf.sprintf "k %d out of [1, %d)" k max_int)
+  else if not (p > 0. && p <= 1.) then
+    Error (Printf.sprintf "p %g out of (0,1]" p)
+  else Ok ()
+
+let check_create t ~name icfg =
   if not (Protocol.valid_name name) then
     Error (Printf.sprintf "invalid instance name %S" name)
   else if Hashtbl.mem t.by_name name then
     Error (Printf.sprintf "instance %S already exists" name)
-  else begin
-    let icfg =
-      {
-        tau = Option.value tau ~default:t.cfg.default_tau;
-        k = Option.value k ~default:t.cfg.default_k;
-        p = Option.value p ~default:t.cfg.default_p;
-      }
-    in
-    let id = t.n_instances in
-    let inst =
-      {
-        id;
-        i_name = name;
-        icfg;
-        weights = Hashtbl.create 1024;
-        i_records = 0;
-        i_volume = 0.;
-        pps_tbl = Hashtbl.create 256;
-        binary_tbl = Hashtbl.create 256;
-        bk_set = RankSet.empty;
-        bk_rank = Hashtbl.create 256;
-        vo = Sampling.Varopt.create ~k:icfg.k;
-        (* Private VarOpt randomness, reproducible from (master, id). *)
-        vo_rng = Numerics.Prng.substream ~master:t.cfg.master id;
-      }
-    in
-    Hashtbl.add t.by_name name inst;
-    t.rev_instances <- inst :: t.rev_instances;
-    t.n_instances <- id + 1;
-    Ok inst
-  end
+  else validate_config icfg
 
 let find t name = Hashtbl.find_opt t.by_name name
 let instances t = List.rev t.rev_instances
@@ -141,17 +123,17 @@ let instances t = List.rev t.rev_instances
    in the accumulated weight, so the running (k+1)-max never grows and a
    key evicted (or rejected) with no further records is correctly out —
    there are already k+1 keys whose pairs are smaller and only shrink. *)
-let bk_update seeds inst key v =
-  let rank =
-    Seeds.rank seeds Sampling.Rank.PPS ~instance:inst.id ~key ~w:v
-  in
+let bk_update inst ~u key v =
+  (* [Seeds.rank] of the key's seed [u], which the caller already holds. *)
+  let rank = Sampling.Rank.rank Sampling.Rank.PPS ~w:v ~u in
   let cap = inst.icfg.k + 1 in
   match Hashtbl.find_opt inst.bk_rank key with
   | Some old_rank ->
       inst.bk_set <- RankSet.add (rank, key) (RankSet.remove (old_rank, key) inst.bk_set);
       Hashtbl.replace inst.bk_rank key rank
   | None ->
-      if RankSet.cardinal inst.bk_set < cap then begin
+      (* [bk_rank] holds exactly the keys of [bk_set]: an O(1) size. *)
+      if Hashtbl.length inst.bk_rank < cap then begin
         inst.bk_set <- RankSet.add (rank, key) inst.bk_set;
         Hashtbl.replace inst.bk_rank key rank
       end
@@ -163,6 +145,20 @@ let bk_update seeds inst key v =
           Hashtbl.replace inst.bk_rank key rank
         end
 
+(* The sample half of [apply]: key [key] has just reached accumulated
+   weight [v] ([first] on its first record). Every sample is a function
+   of (v, seed) alone, so feeding each key's final weight through here
+   once rebuilds them exactly — which is how [install_summary] restores
+   an instance from its weights. *)
+let sample_key seeds inst ~first key v =
+  let u = Seeds.seed seeds ~instance:inst.id ~key in
+  (* Same inclusion predicate as Poisson.pps_sample; monotone in v, so
+     once in, a key only has its recorded value refreshed. *)
+  if v >= u *. inst.icfg.tau then Hashtbl.replace inst.pps_tbl key v;
+  (* Binary support sample: decided once, on the key's first record. *)
+  if first && u <= inst.icfg.p then Hashtbl.replace inst.binary_tbl key ();
+  bk_update inst ~u key v
+
 let apply seeds inst key w =
   inst.i_records <- inst.i_records + 1;
   inst.i_volume <- inst.i_volume +. w;
@@ -171,14 +167,7 @@ let apply seeds inst key w =
   in
   let v = v0 +. w in
   Hashtbl.replace inst.weights key v;
-  let u = Seeds.seed seeds ~instance:inst.id ~key in
-  (* Same inclusion predicate as Poisson.pps_sample; monotone in v, so
-     once in, a key only has its recorded value refreshed. *)
-  if v >= u *. inst.icfg.tau then Hashtbl.replace inst.pps_tbl key v;
-  (* Binary support sample: decided once, on the key's first record. *)
-  if v0 = 0. && u <= inst.icfg.p then Hashtbl.replace inst.binary_tbl key ();
-  bk_update seeds inst key v;
-  Sampling.Varopt.add inst.vo inst.vo_rng ~key ~weight:w
+  sample_key seeds inst ~first:(v0 = 0.) key v
 
 (* --- sharded ingest --- *)
 
@@ -375,8 +364,6 @@ let bottom_k inst =
   }
 
 let binary_sample inst = sorted_keys inst.binary_tbl
-let varopt_entries inst = Sampling.Varopt.entries inst.vo
-let varopt_threshold inst = Sampling.Varopt.threshold inst.vo
 
 (* --- mergeable summary export / install (cluster mode) --- *)
 
@@ -387,9 +374,6 @@ type summary = {
   s_records : int;
   s_volume : float;
   s_weights : (int * float) list;
-  s_pps : (int * float) list;
-  s_binary : int list;
-  s_bk : (float * int) list;
 }
 
 let export_summary inst =
@@ -400,61 +384,58 @@ let export_summary inst =
     s_records = inst.i_records;
     s_volume = inst.i_volume;
     s_weights = sorted_entries inst.weights;
-    s_pps = sorted_entries inst.pps_tbl;
-    s_binary = sorted_keys inst.binary_tbl;
-    s_bk = RankSet.elements inst.bk_set;
   }
 
-(* The summary is installed verbatim under its *recorded* id: seed
-   derivation, the VarOpt substream and the shard assignment all key off
-   [s_id], so a store materialized from a subset of another store's
-   instances answers queries with the original seeds. The VarOpt
-   reservoir is not part of the summary; it is rebuilt canonically from
-   the aggregated weights in ascending key order on the instance's
-   private substream — exactly the reservoir a [Snapshot] restore of the
-   same weights would hold (and unused by the four query kinds, which
-   read only the PPS and binary samples). *)
+(* The summary is installed under its *recorded* id: seed derivation
+   and the shard assignment key off [s_id], so a store materialized from
+   a subset of another store's instances answers queries with the
+   original seeds. The samples are rebuilt from the weights by
+   [sample_key], the code [apply] runs. *)
 let install_summary t s =
-  if not (Protocol.valid_name s.s_name) then
-    Error (Printf.sprintf "invalid instance name %S" s.s_name)
-  else if Hashtbl.mem t.by_name s.s_name then
-    Error (Printf.sprintf "instance %S already exists" s.s_name)
-  else if s.s_id < 0 then
-    Error (Printf.sprintf "invalid instance id %d" s.s_id)
-  else begin
-    let inst =
-      {
-        id = s.s_id;
-        i_name = s.s_name;
-        icfg = s.s_cfg;
-        weights = Hashtbl.create (max 16 (List.length s.s_weights));
-        i_records = s.s_records;
-        i_volume = s.s_volume;
-        pps_tbl = Hashtbl.create (max 16 (List.length s.s_pps));
-        binary_tbl = Hashtbl.create (max 16 (List.length s.s_binary));
-        bk_set = RankSet.empty;
-        bk_rank = Hashtbl.create 256;
-        vo = Sampling.Varopt.create ~k:s.s_cfg.k;
-        vo_rng = Numerics.Prng.substream ~master:t.cfg.master s.s_id;
-      }
-    in
-    List.iter (fun (k, v) -> Hashtbl.replace inst.weights k v) s.s_weights;
-    List.iter (fun (k, v) -> Hashtbl.replace inst.pps_tbl k v) s.s_pps;
-    List.iter (fun k -> Hashtbl.replace inst.binary_tbl k ()) s.s_binary;
-    List.iter
-      (fun (rank, key) ->
-        inst.bk_set <- RankSet.add (rank, key) inst.bk_set;
-        Hashtbl.replace inst.bk_rank key rank)
-      s.s_bk;
-    List.iter
-      (fun (key, weight) ->
-        Sampling.Varopt.add inst.vo inst.vo_rng ~key ~weight)
-      s.s_weights;
-    Hashtbl.add t.by_name s.s_name inst;
-    t.rev_instances <- inst :: t.rev_instances;
-    t.n_instances <- max t.n_instances (s.s_id + 1);
-    Ok inst
-  end
+  match check_create t ~name:s.s_name s.s_cfg with
+  | Error _ as e -> e
+  | Ok () when s.s_id < 0 -> Error (Printf.sprintf "invalid instance id %d" s.s_id)
+  | Ok () ->
+      let inst =
+        {
+          id = s.s_id;
+          i_name = s.s_name;
+          icfg = s.s_cfg;
+          weights = Hashtbl.create (max 1024 (List.length s.s_weights));
+          i_records = s.s_records;
+          i_volume = s.s_volume;
+          pps_tbl = Hashtbl.create 256;
+          binary_tbl = Hashtbl.create 256;
+          bk_set = RankSet.empty;
+          bk_rank = Hashtbl.create 256;
+        }
+      in
+      List.iter
+        (fun (key, v) ->
+          Hashtbl.replace inst.weights key v;
+          sample_key t.t_seeds inst ~first:true key v)
+        s.s_weights;
+      Hashtbl.add t.by_name s.s_name inst;
+      t.rev_instances <- inst :: t.rev_instances;
+      t.n_instances <- max t.n_instances (s.s_id + 1);
+      Ok inst
+
+(* A new instance is the empty summary at the next id. *)
+let create_instance t ~name ?tau ?k ?p () =
+  install_summary t
+    {
+      s_name = name;
+      s_id = t.n_instances;
+      s_cfg =
+        {
+          tau = Option.value tau ~default:t.cfg.default_tau;
+          k = Option.value k ~default:t.cfg.default_k;
+          p = Option.value p ~default:t.cfg.default_p;
+        };
+      s_records = 0;
+      s_volume = 0.;
+      s_weights = [];
+    }
 
 type shard_stats = { shard : int; queue_depth : int; applied : int }
 

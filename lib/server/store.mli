@@ -1,9 +1,11 @@
 (** Sharded in-memory registry of named instances with live coordinated
     summaries.
 
-    Each registered instance owns three incrementally-maintained
-    summaries of its accumulated [(key, weight)] stream — exactly the
-    Section 7.1 inventory, kept {e live} instead of rebuilt per batch:
+    The state of an instance is its counters ([records], [volume]) and
+    its per-key accumulated weight map. On top of the weights it keeps
+    the Section 7.1 samples the queries read, each a pure function of
+    the accumulated weights and the recorded seeds, maintained live as
+    records arrive:
 
     - a {b PPS Poisson} sample under a fixed threshold [tau]: key [h]
       enters the sample the moment its accumulated weight crosses
@@ -15,12 +17,12 @@
       monotone decreasing in the accumulated weight, so the running
       [(k+1)]-max never grows and eviction is exact — the final structure
       equals {!Sampling.Bottom_k.sample} of the accumulated instance;
-    - a {b VarOpt} reservoir fed record-by-record (private randomness
-      from a per-instance substream of the master seed);
+    - a {b binary support} sample ([u(h) ≤ p]) for the distinct-count
+      estimators.
 
-    plus a binary support sample ([u(h) ≤ p]) for the distinct-count
-    estimators, and the full per-key weight accumulator (needed anyway:
-    weighted ranks are functions of the {e accumulated} weight).
+    Because the samples follow from the weights, a {!summary} carries
+    only counters and weights, and {!install_summary} rebuilds the
+    samples with the same per-key code the ingest path runs.
 
     Seeds are recorded {!Sampling.Seeds} seeds — shared or independent
     mode — so estimator-side seed recomputation works unchanged and
@@ -43,7 +45,7 @@ type config = {
   master : int;  (** master hash seed for {!Sampling.Seeds} *)
   mode : Sampling.Seeds.mode;
   default_tau : float;  (** PPS threshold for instances created without one *)
-  default_k : int;  (** bottom-k / VarOpt size default *)
+  default_k : int;  (** bottom-k size default *)
   default_p : float;  (** binary-sample probability default *)
   flush_every : int;  (** auto-flush when this many records are pending *)
   max_inflight : int;
@@ -68,6 +70,18 @@ val config : t -> config
 val seeds : t -> Sampling.Seeds.t
 val pool : t -> Numerics.Pool.t
 
+val validate_config : instance_config -> (unit, string) result
+(** The one range check on instance parameters: [tau] finite and [> 0],
+    [1 ≤ k < max_int] (the bottom-k working set holds [k + 1] pairs) and
+    [0 < p ≤ 1]. *)
+
+val check_create : t -> name:string -> instance_config -> (unit, string) result
+(** Whether an instance [name] with these parameters could be created,
+    with no side effect: the name must be valid and free and
+    {!validate_config} must pass. {!create_instance} and
+    {!install_summary} run this same check; the engine runs it before
+    logging a CREATE, so a logged CREATE always applies. *)
+
 val create_instance :
   t ->
   name:string ->
@@ -77,8 +91,8 @@ val create_instance :
   unit ->
   (instance, string) result
 (** Register a named instance (id = creation order, which is also the
-    instance id used for seed derivation). [Error] when the name is
-    taken. *)
+    instance id used for seed derivation). Omitted parameters take the
+    store's defaults. [Error] when {!check_create} fails. *)
 
 val find : t -> string -> instance option
 val instances : t -> instance list
@@ -145,7 +159,7 @@ val cardinality : instance -> int
 (** Distinct keys with positive accumulated weight. *)
 
 val to_instance : instance -> Sampling.Instance.t
-(** Materialize the accumulated weights (snapshot / test use; O(keys)). *)
+(** Materialize the accumulated weights (O(keys)). *)
 
 val pps_sample : instance -> Sampling.Poisson.pps
 (** The live PPS sample — equal to [Sampling.Poisson.pps_sample seeds
@@ -159,17 +173,13 @@ val binary_sample : instance -> int list
 (** Support keys with [u(h) ≤ p], ascending — equal to
     [Aggregates.Distinct.sample_binary] of the accumulated instance. *)
 
-val varopt_entries : instance -> (int * float) list
-val varopt_threshold : instance -> float
-
 (** {2 Mergeable summaries (cluster mode)}
 
     A [summary] is the complete, order-independent export of one
-    instance: every list is sorted (weights/PPS/binary ascending by key,
-    bottom-k ascending by [(rank, key)]), so serializing a summary is
-    byte-stable whatever the ingestion order or hashtable state — the
-    same guarantee the snapshot format gives, extended to the merge
-    payloads {!Merge} puts on the wire. *)
+    instance: its counters and its weights, sorted by key, so
+    serializing a summary is byte-stable whatever the ingestion order or
+    hashtable state — the same guarantee the snapshot format gives,
+    extended to the merge payloads {!Merge} puts on the wire. *)
 
 type summary = {
   s_name : string;
@@ -178,25 +188,19 @@ type summary = {
   s_records : int;
   s_volume : float;
   s_weights : (int * float) list;  (** accumulated weights, ascending key *)
-  s_pps : (int * float) list;  (** live PPS sample, ascending key *)
-  s_binary : int list;  (** binary support sample, ascending *)
-  s_bk : (float * int) list;
-      (** bottom-k working set: the [k+1] smallest [(rank, key)] pairs,
-          ascending *)
 }
 
 val export_summary : instance -> summary
-(** Export the live summaries (flush the store first). *)
+(** Export counters and weights (flush the store first). *)
 
 val install_summary : t -> summary -> (instance, string) result
-(** Register an instance carrying exactly the summary's state, under its
-    {e recorded} id (so seed recomputation matches the exporting store —
-    the materialized store answers queries bit-identically). The VarOpt
-    reservoir is rebuilt canonically from the aggregated weights in
-    ascending key order on the instance's private substream (same
-    reservoir a {!Snapshot} restore of those weights holds; the four
-    query kinds never read it). [Error] when the name is taken or
-    invalid. *)
+(** Register an instance with the summary's counters and weights, under
+    its {e recorded} id (so seed recomputation matches the exporting
+    store). Its PPS, bottom-k and binary samples are rebuilt from the
+    weights by the per-key code ingestion runs, so they equal the
+    exporting instance's samples and the materialized store answers
+    queries bit-identically. The weights must be positive with distinct
+    keys. [Error] when {!check_create} fails or the id is negative. *)
 
 (** {2 Shard introspection (STATS)} *)
 

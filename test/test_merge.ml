@@ -579,6 +579,213 @@ let test_sync_checkpoints_wal () =
   Daemon.join daemon;
   Server.Wal.close r.Server.Wal.wal
 
+(* ------------------------------------------------------------------ *)
+(* The rebuild law                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A stream over few keys (heavy repetition) plus keys whose PPS rank
+   ties exactly with a working-set rank of the repeated keys: the
+   second-smallest and the (k+1)-th smallest, where the (rank, key)
+   tie-break decides membership. A tie key gets weight w with
+   [u /. w = r] bit for bit, sent as two records of [w /. 2.] (an exact
+   halving, so the accumulated weight is [w] again). *)
+let rebuild_k = 8
+
+let tied_stream seeds ~instance ~seed =
+  let rng = Numerics.Prng.create ~seed () in
+  let base =
+    Array.init 600 (fun _ ->
+        ( 1 + Numerics.Prng.int rng 120,
+          0.25 *. float_of_int (1 + Numerics.Prng.int rng 40) ))
+  in
+  let acc = Hashtbl.create 128 in
+  Array.iter
+    (fun (key, w) ->
+      let v0 = Option.value (Hashtbl.find_opt acc key) ~default:0. in
+      Hashtbl.replace acc key (v0 +. w))
+    base;
+  let ranks =
+    Hashtbl.fold
+      (fun key v l ->
+        Sampling.Seeds.rank seeds Sampling.Rank.PPS ~instance ~key ~w:v :: l)
+      acc []
+    |> List.sort Float.compare |> Array.of_list
+  in
+  let targets = [ ranks.(1); ranks.(rebuild_k) ] in
+  let rec ties key want r acc =
+    if want = 0 then (key, acc)
+    else
+      let u = Sampling.Seeds.seed seeds ~instance ~key in
+      let w = u /. r in
+      if Float.is_finite w && w > 0. && Float.equal (u /. w) r then
+        ties (key + 1) (want - 1) r ((key, w /. 2.) :: (key, w /. 2.) :: acc)
+      else ties (key + 1) want r acc
+  in
+  let _, extra =
+    List.fold_left
+      (fun (key, acc) r -> ties key 2 r acc)
+      (1000, []) targets
+  in
+  Array.append base (Array.of_list (List.rev extra))
+
+let samples_of inst =
+  (Store.pps_sample inst, Store.bottom_k inst, Store.binary_sample inst)
+
+let test_install_rebuilds_live_samples () =
+  List.iter
+    (fun mode ->
+      let seeds = seeds ~mode () in
+      let streams =
+        [ ("a", tied_stream seeds ~instance:0 ~seed:91);
+          ("b", tied_stream seeds ~instance:1 ~seed:92) ]
+      in
+      let reference = ref None in
+      List.iter
+        (fun shards ->
+          let c = cfg ~shards ~mode () in
+          let st = Store.create c in
+          List.iter
+            (fun (name, _) ->
+              match Store.create_instance st ~name ~tau ~k:rebuild_k ~p () with
+              | Ok _ -> ()
+              | Error m -> Alcotest.failf "create %s: %s" name m)
+            streams;
+          List.iter (fun (name, recs) -> ingest_all st name recs) streams;
+          Store.flush st;
+          let live = List.map samples_of (Store.instances st) in
+          let tied =
+            List.exists
+              (fun inst ->
+                let bk = Store.bottom_k inst in
+                let rs =
+                  List.map (fun e -> e.Sampling.Bottom_k.rank)
+                    bk.Sampling.Bottom_k.entries
+                in
+                List.exists
+                  (fun r ->
+                    List.length (List.filter (Float.equal r) rs) > 1
+                    || Float.equal r bk.Sampling.Bottom_k.threshold)
+                  rs)
+              (Store.instances st)
+          in
+          Alcotest.(check bool) "the working sets hold tied ranks" true tied;
+          let fresh = Store.create c in
+          let rebuilt =
+            List.map
+              (fun inst ->
+                match Store.install_summary fresh (Store.export_summary inst) with
+                | Ok i -> samples_of i
+                | Error m -> Alcotest.failf "install: %s" m)
+              (Store.instances st)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "install (export i) = i at %d shard(s)" shards)
+            true (rebuilt = live);
+          match !reference with
+          | None -> reference := Some live
+          | Some r ->
+              Alcotest.(check bool)
+                (Printf.sprintf "samples at %d shard(s) equal 1 shard" shards)
+                true (r = live))
+        [ 1; 2; 4 ])
+    [ Sampling.Seeds.Independent; Sampling.Seeds.Shared ]
+
+(* The restore rule a snapshot, a SYNC follower and a WAL checkpoint all
+   follow: [records] is the key count and [volume] the weights summed in
+   ascending key order; the samples are the live ones. *)
+let test_snapshot_restore_rule () =
+  let st = Store.create (cfg ()) in
+  List.iter
+    (fun name ->
+      match Store.create_instance st ~name ~tau ~k:rebuild_k ~p () with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "create: %s" m)
+    [ "a"; "b" ];
+  ingest_all st "a" (tied_stream (seeds ()) ~instance:0 ~seed:93);
+  ingest_all st "b" (records ~seed:94 900);
+  Store.flush st;
+  match Snapshot.of_string_r (Snapshot.to_string st) with
+  | Error e ->
+      Alcotest.failf "reload: %s" (Sampling.Io.parse_error_to_string e)
+  | Ok st2 ->
+      List.iter2
+        (fun i i2 ->
+          let w = (Store.export_summary i).Store.s_weights in
+          Alcotest.(check int) "records = key count" (List.length w)
+            (Store.records i2);
+          Alcotest.(check bool) "volume = ascending-key sum" true
+            (Float.equal
+               (List.fold_left (fun acc (_, v) -> acc +. v) 0. w)
+               (Store.volume i2));
+          Alcotest.(check bool) "samples survive the reload" true
+            (samples_of i = samples_of i2))
+        (Store.instances st) (Store.instances st2)
+
+(* ------------------------------------------------------------------ *)
+(* Codec robustness: seeded byte mutations                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Single-byte flips, truncations and insertions of a valid encoding.
+   Printable replacement bytes dominate, so many mutants stay
+   well-formed enough to reach the deeper checks. *)
+let mutants ~seed ~n good =
+  let rng = Numerics.Prng.create ~seed () in
+  let len = String.length good in
+  let byte () =
+    if Numerics.Prng.int rng 4 = 0 then Char.chr (Numerics.Prng.int rng 256)
+    else String.get " \n0123456789abcdefpx+-.endwsumry" (Numerics.Prng.int rng 32)
+  in
+  List.init n (fun _ ->
+      let i = Numerics.Prng.int rng len in
+      match Numerics.Prng.int rng 3 with
+      | 0 -> String.mapi (fun j c -> if j = i then byte () else c) good
+      | 1 -> String.sub good 0 i
+      | _ ->
+          String.sub good 0 i ^ String.make 1 (byte ())
+          ^ String.sub good i (len - i))
+
+let test_payload_mutations () =
+  let st = store_of [ ("a", records ~seed:101 300) ] in
+  let good = String.concat "\n" (Merge.payload (export st "a")) in
+  let accepted = ref 0 in
+  List.iter
+    (fun m ->
+      match Merge.of_lines (String.split_on_char '\n' m) with
+      | exception e ->
+          Alcotest.failf "of_lines raised %s on %S" (Printexc.to_string e) m
+      | Error _ -> ()
+      | Ok s -> (
+          incr accepted;
+          match Merge.materialize (cfg ()) [ s ] with
+          | exception e ->
+              Alcotest.failf "materialize raised %s on %S"
+                (Printexc.to_string e) m
+          | Ok _ | Error _ -> ()))
+    (mutants ~seed:102 ~n:3000 good);
+  Alcotest.(check bool) "some mutants still parse" true (!accepted > 0)
+
+let test_snapshot_mutations () =
+  let st =
+    store_of [ ("a", records ~seed:103 300); ("b", records ~seed:104 300) ]
+  in
+  let good = Snapshot.to_string st in
+  List.iter
+    (fun m ->
+      match Snapshot.of_string_r m with
+      | exception e ->
+          Alcotest.failf "of_string_r raised %s on %S" (Printexc.to_string e)
+            m
+      | Error _ -> ()
+      | Ok st' -> (
+          match Snapshot.of_string_r (Snapshot.to_string st') with
+          | exception e ->
+              Alcotest.failf "reparse raised %s" (Printexc.to_string e)
+          | Ok _ -> ()
+          | Error e ->
+              Alcotest.failf "accepted mutant does not round trip: %s"
+                (Sampling.Io.parse_error_to_string e)))
+    (mutants ~seed:105 ~n:3000 good)
+
 let () =
   Alcotest.run "merge"
     [
@@ -587,6 +794,17 @@ let () =
           Alcotest.test_case "round trip" `Quick test_payload_roundtrip;
           Alcotest.test_case "strict parser guards" `Quick
             test_of_lines_guards;
+          Alcotest.test_case "byte mutations never raise" `Quick
+            test_payload_mutations;
+        ] );
+      ( "rebuild",
+        [
+          Alcotest.test_case "install rebuilds the live samples" `Quick
+            test_install_rebuilds_live_samples;
+          Alcotest.test_case "snapshot restore rule" `Quick
+            test_snapshot_restore_rule;
+          Alcotest.test_case "snapshot byte mutations never raise" `Quick
+            test_snapshot_mutations;
         ] );
       ( "algebra",
         [

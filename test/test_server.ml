@@ -277,14 +277,13 @@ let summaries_of st =
   List.map
     (fun i ->
       ( Store.name i, Store.records i, Store.volume i,
-        Store.pps_sample i, Store.bottom_k i, Store.binary_sample i,
-        Store.varopt_entries i, Store.varopt_threshold i ))
+        Store.pps_sample i, Store.bottom_k i, Store.binary_sample i ))
     (Store.instances st)
 
 (* What a snapshot replay preserves bit-for-bit: the query-facing
-   summaries. VarOpt is rebuilt (fresh stream draw), [records] restarts
-   at the key count, and [volume] is re-summed in key order (last-ulp
-   FP difference) — all documented in {!Snapshot}. *)
+   summaries. [records] restarts at the key count, and [volume] is
+   re-summed in key order (last-ulp FP difference) — both documented in
+   {!Snapshot}. *)
 let preserved_summaries_of st =
   Store.flush st;
   List.map

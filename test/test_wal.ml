@@ -8,6 +8,7 @@ module P = Server.Protocol
 module Store = Server.Store
 module Engine = Server.Engine
 module Snapshot = Server.Snapshot
+module Merge = Server.Merge
 module Wal = Server.Wal
 module Durable = Server.Durable
 module Daemon = Server.Daemon
@@ -849,6 +850,52 @@ let test_snapshot_robustness () =
   | Ok st2 -> check_equals_reference ~msg:"reload after crashed rewrite" st2 n_script
   | Error e -> Alcotest.failf "reload: %s" e.Sampling.Io.message
 
+(* ------------------------------------------------------------------ *)
+(* Instance parameters are checked before they reach the log           *)
+(* ------------------------------------------------------------------ *)
+
+(* k = max_int parses as an int, but the bottom-k working set holds
+   k + 1 pairs. Such a CREATE must be refused before the WAL append: a
+   logged op that cannot apply would fail every later recovery. *)
+let test_create_out_of_range_k () =
+  with_dir "wal" @@ fun dir ->
+  let r = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  let engine = Engine.create ~wal:r.Wal.wal r.Wal.store in
+  let probe = Printf.sprintf "CREATE h k=%d" max_int in
+  let resp, _ = Engine.handle_line engine probe in
+  Alcotest.(check bool) "CREATE answered with an error" false (P.json_ok resp);
+  Alcotest.(check int) "nothing logged" 0 (Wal.entries r.Wal.wal);
+  Alcotest.(check bool) "nothing registered" true
+    (Store.find r.Wal.store "h" = None);
+  run_ops engine script;
+  Wal.close r.Wal.wal;
+  let r2 = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  check_equals_reference ~msg:"recovery after a refused CREATE" r2.Wal.store
+    n_script;
+  Wal.close r2.Wal.wal;
+  (* The restore codecs refuse the same parameters with an Error. *)
+  let snapshot =
+    Printf.sprintf
+      "optsample-snapshot 1 11 independent %h 64 %h 8192 1
+       instance h 0 %h %d %h
+       1 %h
+       end
+"
+      60. 0.2 60. max_int 0.2 1.
+  in
+  (match Snapshot.of_string_r snapshot with
+  | Ok _ -> Alcotest.fail "snapshot with k = max_int accepted"
+  | Error e ->
+      Alcotest.(check int) "diagnostic on the instance line" 2
+        e.Sampling.Io.line);
+  let payload =
+    [ Printf.sprintf "summary h 0 %h %d %h 1 %h" 60. max_int 0.2 1.;
+      Printf.sprintf "w 1 %h" 1.; "end" ]
+  in
+  match Merge.of_lines payload with
+  | Ok _ -> Alcotest.fail "summary payload with k = max_int accepted"
+  | Error m -> Alcotest.(check bool) "payload diagnostic" true (m <> "")
+
 let () =
   Alcotest.run "wal"
     [
@@ -924,5 +971,10 @@ let () =
         [
           Alcotest.test_case "truncated, flipped, crashed writes" `Quick
             test_snapshot_robustness;
+        ] );
+      ( "create-validation",
+        [
+          Alcotest.test_case "out-of-range k refused before the log" `Quick
+            test_create_out_of_range_k;
         ] );
     ]

@@ -124,6 +124,19 @@ if [ -n "$assoc_hits" ]; then
     status=1
 fi
 
+# Oracle discipline: the reference evaluators (the Designer hashtable
+# lookup, Similarity.sums and the list-walking Sum_agg.estimate) are
+# the oracles the bit-identity tests hold the serving path to. Serving
+# code calls their flat twins; a reference evaluator under lib/server
+# would put the slow path back behind QUERY.
+oracle_hits=$(grep -rnE 'Designer\.lookup|Similarity\.sums |Sum_agg\.estimate ' \
+    "$root/lib/server" --include='*.ml' 2>/dev/null)
+if [ -n "$oracle_hits" ]; then
+    echo "lint: reference evaluators are banned under lib/server — call the flat twins:" >&2
+    echo "$oracle_hits" >&2
+    status=1
+fi
+
 # Hot-path discipline: the per-key evaluator modules must stay off the
 # polymorphic runtime. `Stdlib.compare`/bare `compare` walks tags and
 # boxes floats; `Hashtbl.hash` hashes structure (and is why derivation

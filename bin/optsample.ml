@@ -694,12 +694,16 @@ let serve_cmd =
               exit 1
           | Ok r ->
               Format.fprintf ppf
-                "wal recovery: %d instance(s), %d op(s) replayed%s%s%s@."
+                "wal recovery: %d instance(s), %d op(s) replayed%s%s%s%s@."
                 (List.length (Server.Store.instances r.Server.Wal.store))
                 r.Server.Wal.replayed
                 (match r.Server.Wal.checkpoint_epoch with
                 | Some e -> Printf.sprintf " on checkpoint epoch %d" e
                 | None -> " (cold start)")
+                (if r.Server.Wal.skipped_creates > 0 then
+                   Printf.sprintf ", %d refused CREATE(s) skipped"
+                     r.Server.Wal.skipped_creates
+                 else "")
                 (if r.Server.Wal.truncated_bytes > 0 then
                    Printf.sprintf ", %d torn byte(s) dropped"
                      r.Server.Wal.truncated_bytes

@@ -80,8 +80,12 @@ let var_l ~d ~jaccard ~p1 ~p2 =
   let v10 = Estcore.Or_oblivious.var_l_10 ~p1 ~p2 in
   d *. ((jaccard *. v11) +. ((1. -. jaccard) *. v10))
 
-let coordinated_estimate ~p ~s1 ~s2 ~select =
-  let u = ISet.union (ISet.of_list s1) (ISet.of_list s2) in
+let coordinated_estimate ~p ~samples ~select =
+  let u =
+    Array.fold_left
+      (fun u s -> ISet.union u (ISet.of_list s))
+      ISet.empty samples
+  in
   float_of_int (ISet.cardinal (ISet.filter select u)) /. p
 
 let var_coordinated ~d ~p = d *. ((1. /. p) -. 1.)

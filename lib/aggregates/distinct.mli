@@ -72,11 +72,12 @@ val var_l : d:float -> jaccard:float -> p1:float -> p2:float -> float
 
 val var_u : d:float -> jaccard:float -> p1:float -> p2:float -> float
 
-val coordinated_estimate : p:float -> s1:int list -> s2:int list -> select:(int -> bool) -> float
-(** Distinct count from {e coordinated} samples with a common sampling
+val coordinated_estimate :
+  p:float -> samples:int list array -> select:(int -> bool) -> float
+(** Distinct count from r {e coordinated} samples with a common sampling
     probability [p] (shared seed per key, e.g. [Sampling.Seeds.Shared]):
     every key of the union is sampled somewhere iff its shared seed is
-    [≤ p], so [|S₁ ∪ S₂ ∩ select| / p] is the optimal
+    [≤ p], so [|(S₁ ∪ … ∪ S_r) ∩ select| / p] is the optimal
     inverse-probability estimate. *)
 
 val var_coordinated : d:float -> p:float -> float

@@ -68,9 +68,14 @@ and drain t =
     drain t
   end
 
+(* The caller of [run_all] drains the queue too, so it is one of the
+   pool's [requested] domains: spawning [requested] workers besides it
+   would oversubscribe the cores the caller asked for. *)
 let ensure_started_locked t =
   if Array.length t.workers = 0 then
-    t.workers <- Array.init t.requested (fun _ -> Domain.spawn (fun () -> worker_loop t))
+    t.workers <-
+      Array.init (t.requested - 1) (fun _ ->
+          Domain.spawn (fun () -> worker_loop t))
 
 let wrap t r body () =
   let err = (try body (); None with e -> Some e) in

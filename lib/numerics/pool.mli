@@ -26,12 +26,14 @@ val default_jobs : unit -> int
     otherwise [Domain.recommended_domain_count ()]. *)
 
 val create : ?domains:int -> unit -> t
-(** [create ~domains ()] prepares a pool of [domains] workers (default
-    {!default_jobs}). No domain is spawned until the first parallel call.
-    Results never depend on [domains] — only wall-clock time does. *)
+(** [create ~domains ()] prepares a pool that runs tasks on [domains]
+    domains (default {!default_jobs}): the calling domain, which drains
+    the queue while it waits, and [domains - 1] spawned workers. No
+    domain is spawned until the first parallel call. Results never
+    depend on [domains] — only wall-clock time does. *)
 
 val size : t -> int
-(** Worker count the pool was created with (≥ 1). *)
+(** Domain count the pool was created with (≥ 1), the caller included. *)
 
 val shutdown : t -> unit
 (** Stop and join all workers. Idempotent; the pool runs subsequent

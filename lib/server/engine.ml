@@ -51,28 +51,11 @@ let or_flat_tables ~p1 ~p2 =
 
 module ISet = Set.Make (Int)
 
-(* Sum of per-key table lookups over the union of the two samples; the
-   outcome key of key h is its (below, sampled) indicator pair, with
-   seeds recomputed at the instances' recorded ids. The reference for
-   {!eval_or_flat} below; kept as the oracle the bit-identity tests
-   compare against. *)
-let eval_or_table table seeds ~ids:(id1, id2) ~p1 ~p2 ~s1 ~s2 =
-  let set1 = ISet.of_list s1 and set2 = ISet.of_list s2 in
-  ISet.fold
-    (fun h acc ->
-      let u1 = Sampling.Seeds.seed seeds ~instance:id1 ~key:h in
-      let u2 = Sampling.Seeds.seed seeds ~instance:id2 ~key:h in
-      let key =
-        ([| u1 <= p1; u2 <= p2 |], [| ISet.mem h set1; ISet.mem h set2 |])
-      in
-      acc +. Designer.lookup table key)
-    (ISet.union set1 set2)
-    0.
-
-(* Serving path of [QUERY or]: same ascending key walk and same
-   left-to-right accumulation as {!eval_or_table}, but each key costs
-   one cell index and one unboxed load instead of two fresh bool arrays
-   and a hashtable probe — bit-identical by construction. *)
+(* Serving path of [QUERY or]: an ascending walk over the union of the
+   two samples, left-to-right accumulation. The outcome key of key h is
+   its (below, sampled) indicator pair, with seeds recomputed at the
+   instances' recorded ids; each key costs one cell index and one
+   unboxed load in the flattened table. *)
 let eval_or_flat flat seeds ~ids:(id1, id2) ~p1 ~p2 ~s1 ~s2 =
   let set1 = ISet.of_list s1 and set2 = ISet.of_list s2 in
   let acc = Float.Array.make 1 0. in
@@ -106,157 +89,193 @@ let pps_samples_of st insts =
 let names_field insts =
   "[" ^ String.concat "," (List.map (fun i -> P.jstr (Store.name i)) insts) ^ "]"
 
-let run_max st insts =
-  let ps = pps_samples_of st insts in
-  let r = List.length insts in
-  let ht = Aggregates.Sum_agg.estimate_flat ps ~est:`Max_ht ~select:select_all in
-  if r = 2 then
-    let l =
-      Aggregates.Sum_agg.estimate_flat ps ~est:`Max_l ~select:select_all
-    in
-    [ ("estimate", P.jfloat l); ("estimator", P.jstr "max-l");
-      ("ht", P.jfloat ht) ]
-  else
-    [ ("estimate", P.jfloat ht); ("estimator", P.jstr "max-ht");
-      ("ht", P.jfloat ht) ]
+let head estimate estimator =
+  [ ("estimate", P.jfloat estimate); ("estimator", P.jstr estimator) ]
 
-let run_or st insts =
-  let seeds = Store.seeds st in
-  let probs =
-    Array.of_list (List.map (fun i -> (Store.instance_config i).Store.p) insts)
-  in
-  let ids = Array.of_list (List.map Store.id insts) in
-  let samples = Array.of_list (List.map Store.binary_sample insts) in
-  match insts with
-  | [ _; _ ] ->
-      let p1 = probs.(0) and p2 = probs.(1) in
-      let s1 = samples.(0) and s2 = samples.(1) in
-      let classes =
-        Distinct.classify ~ids:(ids.(0), ids.(1)) seeds ~p1 ~p2 ~s1 ~s2
-          ~select:select_all
-      in
-      let closed = Distinct.l_estimate classes ~p1 ~p2 in
-      let ht = Distinct.ht_estimate classes ~p1 ~p2 in
-      let estimate, provenance =
-        (* Degradation ladder: machine-derived table first, closed form
-           when Algorithm 1 fails on this probability pair. *)
-        match Designer.solve_order_cached ~cache:or_cache (or_problem ~p1 ~p2) with
-        | Ok table ->
-            let flat = or_table ~p1 ~p2 table in
-            ( eval_or_flat flat seeds ~ids:(ids.(0), ids.(1)) ~p1 ~p2 ~s1 ~s2,
-              "designer" )
-        | Error cause ->
-            Numerics.Robust.note_degradation ~site:"server.query.or"
-              ~fallback:"closed-form"
-              (Numerics.Robust.fail Numerics.Robust.Designer
-                 (Numerics.Robust.Invalid_input cause));
-            (closed, "closed-form")
-      in
-      [ ("estimate", P.jfloat estimate); ("estimator", P.jstr "or-l");
-        ("provenance", P.jstr provenance); ("closed_form", P.jfloat closed);
-        ("ht", P.jfloat ht) ]
-  | _ ->
-      let m = Distinct.Multi.create ~probs in
-      let l = Distinct.Multi.estimate ~ids m seeds ~samples ~select:select_all in
-      let ht =
-        Distinct.Multi.ht_estimate ~ids ~probs seeds ~samples ~select:select_all
-      in
-      [ ("estimate", P.jfloat l); ("estimator", P.jstr "or-multi-l");
-        ("provenance", P.jstr "general-solver"); ("ht", P.jfloat ht) ]
-
-let run_distinct st insts =
-  let seeds = Store.seeds st in
-  let probs =
-    Array.of_list (List.map (fun i -> (Store.instance_config i).Store.p) insts)
-  in
-  let ids = Array.of_list (List.map Store.id insts) in
-  let samples = Array.of_list (List.map Store.binary_sample insts) in
-  match insts with
-  | [ _; _ ] ->
-      let p1 = probs.(0) and p2 = probs.(1) in
-      let classes =
-        Distinct.classify ~ids:(ids.(0), ids.(1)) seeds ~p1 ~p2
-          ~s1:samples.(0) ~s2:samples.(1) ~select:select_all
-      in
-      [ ("estimate", P.jfloat (Distinct.l_estimate classes ~p1 ~p2));
-        ("estimator", P.jstr "distinct-l");
-        ("u", P.jfloat (Distinct.u_estimate classes ~p1 ~p2));
-        ("ht", P.jfloat (Distinct.ht_estimate classes ~p1 ~p2));
-        ("f1q", P.jint classes.Distinct.f1q);
-        ("fq1", P.jint classes.Distinct.fq1);
-        ("f11", P.jint classes.Distinct.f11);
-        ("f10", P.jint classes.Distinct.f10);
-        ("f01", P.jint classes.Distinct.f01) ]
-  | _ ->
-      let m = Distinct.Multi.create ~probs in
-      let l = Distinct.Multi.estimate ~ids m seeds ~samples ~select:select_all in
-      let ht =
-        Distinct.Multi.ht_estimate ~ids ~probs seeds ~samples ~select:select_all
-      in
-      [ ("estimate", P.jfloat l); ("estimator", P.jstr "distinct-multi-l");
-        ("ht", P.jfloat ht) ]
-
-(* The max-dominance norm is the sum aggregate of max, so its HT and
-   L estimates are the very sums [run_max] computes. *)
-let run_dominance st insts =
-  let ps = pps_samples_of st insts in
-  let r = List.length insts in
-  let max_ht =
+(* Σmax over independent PPS samples: the HT sum for any r, and for
+   r = 2 the paper's max^(L) closed form, which is preferred. The
+   max-dominance norm is this sum aggregate, so [max] and [dominance]
+   answer from the same pair. *)
+let max_sums ps ~r =
+  let ht =
     Aggregates.Sum_agg.estimate_flat ps ~est:`Max_ht ~select:select_all
   in
-  let min_ht = Aggregates.Dominance.min_dominance_ht ps ~select:select_all in
-  let fields =
-    [ ("max_ht", P.jfloat max_ht); ("min_ht", P.jfloat min_ht) ]
+  let l =
+    if r = 2 then
+      Some (Aggregates.Sum_agg.estimate_flat ps ~est:`Max_l ~select:select_all)
+    else None
   in
-  if r = 2 then
-    let l =
-      Aggregates.Sum_agg.estimate_flat ps ~est:`Max_l ~select:select_all
-    in
-    (("estimate", P.jfloat l) :: ("estimator", P.jstr "maxdom-l") :: fields)
-  else
-    (("estimate", P.jfloat max_ht) :: ("estimator", P.jstr "maxdom-ht")
-    :: fields)
+  (ht, l)
 
-(* Similarity / distance queries: the union and intersection sum
-   aggregates through the Monotone L* engine, one columnar walk for
-   both ({!Aggregates.Similarity.sums_flat}), with jaccard and l1
-   derived from the pair. Guard degradations (a poisoned per-key
-   estimate clamped to 0) surface in the response's [degradations]
-   field like every other ladder. Shared-seed stores only: under
-   independent seeds the joint inclusion law is a product, not the
-   diagonal the L* forms integrate over, so the engine refuses rather
-   than serve a silently biased answer. *)
-let run_similarity st kind insts =
-  match (Store.config st).Store.mode with
-  | Sampling.Seeds.Independent ->
+let preferred (ht, l) ~l:l_name ~ht:ht_name =
+  match l with Some l -> head l l_name | None -> head ht ht_name
+
+(* The binary support samples every [or] / [distinct] row reads. *)
+type binary = {
+  seeds : Sampling.Seeds.t;
+  probs : float array;
+  ids : int array;
+  samples : int list array;
+}
+
+let binary_of st insts =
+  {
+    seeds = Store.seeds st;
+    probs =
+      Array.of_list
+        (List.map (fun i -> (Store.instance_config i).Store.p) insts);
+    ids = Array.of_list (List.map Store.id insts);
+    samples = Array.of_list (List.map Store.binary_sample insts);
+  }
+
+let classify b =
+  Distinct.classify ~ids:(b.ids.(0), b.ids.(1)) b.seeds ~p1:b.probs.(0)
+    ~p2:b.probs.(1) ~s1:b.samples.(0) ~s2:b.samples.(1) ~select:select_all
+
+(* OR^(L) over two independent binary samples. Degradation ladder: the
+   machine-derived table first, the closed form when Algorithm 1 fails
+   on this probability pair. *)
+let or_pair b =
+  let p1 = b.probs.(0) and p2 = b.probs.(1) in
+  let classes = classify b in
+  let closed = Distinct.l_estimate classes ~p1 ~p2 in
+  let ht = Distinct.ht_estimate classes ~p1 ~p2 in
+  let estimate, provenance =
+    match Designer.solve_order_cached ~cache:or_cache (or_problem ~p1 ~p2) with
+    | Ok table ->
+        let flat = or_table ~p1 ~p2 table in
+        ( eval_or_flat flat b.seeds ~ids:(b.ids.(0), b.ids.(1)) ~p1 ~p2
+            ~s1:b.samples.(0) ~s2:b.samples.(1),
+          "designer" )
+    | Error cause ->
+        Numerics.Robust.note_degradation ~site:"server.query.or"
+          ~fallback:"closed-form"
+          (Numerics.Robust.fail Numerics.Robust.Designer
+             (Numerics.Robust.Invalid_input cause));
+        (closed, "closed-form")
+  in
+  head estimate "or-l"
+  @ [ ("provenance", P.jstr provenance); ("closed_form", P.jfloat closed);
+      ("ht", P.jfloat ht) ]
+
+(* The L / U / HT distinct counts and the five outcome classes (§8.1). *)
+let distinct_pair b =
+  let p1 = b.probs.(0) and p2 = b.probs.(1) in
+  let c = classify b in
+  head (Distinct.l_estimate c ~p1 ~p2) "distinct-l"
+  @ [ ("u", P.jfloat (Distinct.u_estimate c ~p1 ~p2));
+      ("ht", P.jfloat (Distinct.ht_estimate c ~p1 ~p2));
+      ("f1q", P.jint c.Distinct.f1q); ("fq1", P.jint c.Distinct.fq1);
+      ("f11", P.jint c.Distinct.f11); ("f10", P.jint c.Distinct.f10);
+      ("f01", P.jint c.Distinct.f01) ]
+
+(* OR^(L) over r independent binary samples (the Theorem 4.1 solver)
+   and its HT baseline: [or] and [distinct] answer from the same pair. *)
+let or_multi b =
+  let m = Distinct.Multi.create ~probs:b.probs in
+  let l =
+    Distinct.Multi.estimate ~ids:b.ids m b.seeds ~samples:b.samples
+      ~select:select_all
+  in
+  let ht =
+    Distinct.Multi.ht_estimate ~ids:b.ids ~probs:b.probs b.seeds
+      ~samples:b.samples ~select:select_all
+  in
+  (l, ht)
+
+(* |∪ S_i| / p over shared-seed binary samples: a key present in any
+   instance is in the union of the samples iff its one seed is ≤ p. That
+   needs one p across the instances; unequal p is refused, never
+   guessed. *)
+let coordinated insts estimator =
+  let p_of i = (Store.instance_config i).Store.p in
+  match insts with
+  | [] -> Ok (head 0. estimator)
+  | first :: rest -> (
+      match
+        List.find_opt (fun i -> not (Float.equal (p_of i) (p_of first))) rest
+      with
+      | Some other ->
+          Error
+            (Printf.sprintf
+               "%s needs one sampling probability across its instances: %s \
+                has p=%s, %s has p=%s"
+               estimator (Store.name first)
+               (Float.to_string (p_of first))
+               (Store.name other)
+               (Float.to_string (p_of other)))
+      | None ->
+          let samples = Array.of_list (List.map Store.binary_sample insts) in
+          Ok
+            (head
+               (Distinct.coordinated_estimate ~p:(p_of first) ~samples
+                  ~select:select_all)
+               estimator))
+
+(* The union and intersection sums of one {!Aggregates.Similarity.sums_flat}
+   walk (the Monotone L* max and min), reported with every L* answer. *)
+let lstar st insts estimator pick =
+  let s =
+    Aggregates.Similarity.sums_flat (pps_samples_of st insts) ~select:select_all
+  in
+  Ok
+    (head (pick s) estimator
+    @ [ ("union", P.jfloat s.Aggregates.Similarity.union_hat);
+        ("intersection", P.jfloat s.Aggregates.Similarity.inter_hat) ])
+
+let union_hat s = s.Aggregates.Similarity.union_hat
+let inter_hat s = s.Aggregates.Similarity.inter_hat
+
+(* The query table, and the one place the engine reads the seed mode.
+   Each row names its estimator and returns the response fields; [Error]
+   is a structured refusal. Shared seeds reveal each key through one
+   seed, so Σmax (max, dominance, union), Σmin (intersection) and the
+   distinct count have their coordinated estimators; independent seeds
+   keep the paper's §5/§8 estimators. Under independent seeds the joint
+   inclusion law is a product, not the diagonal the L* forms integrate
+   over, so the similarity kinds refuse rather than serve a silently
+   biased answer. *)
+let answer st kind insts =
+  let r = List.length insts in
+  match (kind, (Store.config st).Store.mode) with
+  | P.Max, Sampling.Seeds.Shared -> lstar st insts "max-lstar" union_hat
+  | P.Dominance, Shared -> lstar st insts "maxdom-lstar" union_hat
+  | P.Union, Shared -> lstar st insts "union-lstar" union_hat
+  | P.Intersection, Shared -> lstar st insts "intersection-lstar" inter_hat
+  | P.Jaccard, Shared ->
+      lstar st insts "jaccard-lstar" Aggregates.Similarity.jaccard
+  | P.L1, Shared when r > 2 ->
+      Error (Printf.sprintf "l1 takes exactly two instances (got %d)" r)
+  | P.L1, Shared -> lstar st insts "l1-lstar" Aggregates.Similarity.l1
+  | P.Or, Shared -> coordinated insts "or-coordinated"
+  | P.Distinct, Shared -> coordinated insts "distinct-coordinated"
+  | P.Max, Independent ->
+      let sums = max_sums (pps_samples_of st insts) ~r in
+      Ok
+        (preferred sums ~l:"max-l" ~ht:"max-ht"
+        @ [ ("ht", P.jfloat (fst sums)) ])
+  | P.Dominance, Independent ->
+      let ps = pps_samples_of st insts in
+      let sums = max_sums ps ~r in
+      let min_ht = Aggregates.Dominance.min_dominance_ht ps ~select:select_all in
+      Ok
+        (preferred sums ~l:"maxdom-l" ~ht:"maxdom-ht"
+        @ [ ("max_ht", P.jfloat (fst sums)); ("min_ht", P.jfloat min_ht) ])
+  | P.Or, Independent when r = 2 -> Ok (or_pair (binary_of st insts))
+  | P.Distinct, Independent when r = 2 ->
+      Ok (distinct_pair (binary_of st insts))
+  | P.Or, Independent ->
+      let l, ht = or_multi (binary_of st insts) in
+      Ok
+        (head l "or-multi-l"
+        @ [ ("provenance", P.jstr "general-solver"); ("ht", P.jfloat ht) ])
+  | P.Distinct, Independent ->
+      let l, ht = or_multi (binary_of st insts) in
+      Ok (head l "distinct-multi-l" @ [ ("ht", P.jfloat ht) ])
+  | (P.Union | P.Intersection | P.Jaccard | P.L1), Independent ->
       Error
         "similarity queries need coordinated samples: restart with shared \
          seeds (serve --shared-seeds)"
-  | Sampling.Seeds.Shared -> (
-      match (kind, insts) with
-      | P.L1, _ :: _ :: _ :: _ ->
-          Error
-            (Printf.sprintf "l1 takes exactly two instances (got %d)"
-               (List.length insts))
-      | _ ->
-          let ps = pps_samples_of st insts in
-          let s = Aggregates.Similarity.sums_flat ps ~select:select_all in
-          let tail =
-            [ ("union", P.jfloat s.Aggregates.Similarity.union_hat);
-              ("intersection", P.jfloat s.Aggregates.Similarity.inter_hat) ]
-          in
-          let estimate, estimator =
-            match kind with
-            | P.Union -> (s.Aggregates.Similarity.union_hat, "union-lstar")
-            | P.Intersection ->
-                (s.Aggregates.Similarity.inter_hat, "intersection-lstar")
-            | P.Jaccard -> (Aggregates.Similarity.jaccard s, "jaccard-lstar")
-            | _ -> (Aggregates.Similarity.l1 s, "l1-lstar")
-          in
-          Ok
-            (("estimate", P.jfloat estimate)
-            :: ("estimator", P.jstr estimator)
-            :: tail))
 
 let query t kind names =
   let st = t.t_store in
@@ -279,15 +298,6 @@ let query t kind names =
       @@ fun () ->
       Store.flush st;
       let before = Numerics.Robust.degradation_count () in
-      let fields_r =
-        match kind with
-        | P.Max -> Ok (run_max st insts)
-        | P.Or -> Ok (run_or st insts)
-        | P.Distinct -> Ok (run_distinct st insts)
-        | P.Dominance -> Ok (run_dominance st insts)
-        | P.Jaccard | P.L1 | P.Union | P.Intersection ->
-            run_similarity st kind insts
-      in
       Result.map
         (fun fields ->
           let degraded = Numerics.Robust.degradation_count () - before in
@@ -297,7 +307,7 @@ let query t kind names =
             :: ("r", P.jint (List.length insts))
             :: fields
             @ [ ("degradations", P.jint degraded) ]))
-        fields_r
+        (answer st kind insts)
 
 let instance_stats inst =
   let cfg = Store.instance_config inst in

@@ -2,60 +2,73 @@
 
     The engine turns parsed {!Protocol.request}s into one-line JSON
     responses. Every query flushes the store first (so answers reflect
-    all ingested records), then routes to the estimation pipeline:
+    all ingested records), then answers from one table keyed by (query
+    kind, the store's seed mode). The table is the only place the
+    engine reads the seed mode. Each row names its estimator (the
+    [estimator] field) and the fields it returns next to [estimate]:
 
-    - [max] — the sum aggregate of max over the instances' live PPS
-      samples: per-key [max^(L)] ({!Estcore.Max_pps.l}) for r = 2 (the
-      paper's closed form), the [max^(HT)] baseline for any r. Both are
-      reported; [estimate] carries the preferred one.
-    - [or] — binary OR / distinct count over the live binary support
-      samples. The per-key table is machine-derived by Algorithm 1 on
-      {!Estcore.Designer.Problems.binary_known_seeds} (memoized in a
-      designer cache under the problem's precomputed cheap fingerprint),
-      then flattened into an {!Estcore.Or_weighted.Table} (memoized per
-      probability pair) so serving reads one unboxed cell per key —
-      bit-identical to the hashtable walk; when derivation
-      fails the engine degrades to the closed-form [OR^(L)]
-      ({!Aggregates.Distinct.l_estimate}) and says so in the
-      [provenance] field — the {!Numerics.Robust} ladder pattern.
-      r > 2 routes to {!Aggregates.Distinct.Multi} (Theorem 4.1 solver).
-    - [distinct] — the L / U / HT distinct-count estimates with the
-      five outcome-class counts (Section 8.1).
-    - [dominance] — max-dominance ([max^(L)] for r = 2, HT for any r)
-      and min-dominance (HT) over the live PPS samples (Section 8.2).
-    - [jaccard] / [l1] / [union] / [intersection] — similarity and
-      distance queries served by the {!Estcore.Monotone} L* engine over
-      the live PPS samples ({!Aggregates.Similarity}): weighted
-      union/intersection sums, their ratio (jaccard) and difference
-      (l1, r = 2 only). Shared-seed stores only — an independent-seed
-      store answers [kind="bad_request"] instead of a silently biased
-      estimate, and every other query refusal (unknown instance, wrong
-      arity, unknown verb at the parse layer) carries the same
-      structured kind.
+    {v
+    kind          shared seeds                  independent seeds
+    ------------  ----------------------------  -------------------------------
+    max           max-lstar: union sum          max-l (r = 2) / max-ht; ht
+    dominance     maxdom-lstar: union sum;      maxdom-l (r = 2) / maxdom-ht;
+                  min is the intersection sum   max_ht, min_ht
+    union         union-lstar                   refused (bad_request)
+    intersection  intersection-lstar            refused
+    jaccard       jaccard-lstar                 refused
+    l1            l1-lstar (r = 2 only)         refused
+    or            or-coordinated: |∪S_i|/p      or-l (r = 2): provenance,
+                                                closed_form, ht; or-multi-l
+    distinct      distinct-coordinated          distinct-l (r = 2): u, ht,
+                                                f1q fq1 f11 f10 f01;
+                                                distinct-multi-l: ht
+    v}
 
-    Responses carry a [degradations] field — the number of
-    {!Numerics.Robust} fallbacks consumed while answering — so clients
-    see degraded answers without scraping logs. Each query runs under an
-    {!Numerics.Obs} span named [server.query/<kind>]. *)
+    - {b Shared seeds, L* rows.} The six PPS kinds come from one
+      {!Aggregates.Similarity.sums_flat} walk over the live PPS samples:
+      the {!Estcore.Monotone} L* max and min summed per key. Σmax is the
+      weighted union, so [max] and [dominance] answer the union sum;
+      jaccard is their ratio and l1 their difference (exactly two
+      instances). Every L* row also reports [union] and [intersection].
+    - {b Shared seeds, or / distinct.} A key present in any instance is
+      in the union of the binary samples iff its one seed is [≤ p], so
+      [|∪ S_i| / p] ({!Aggregates.Distinct.coordinated_estimate}) is
+      unbiased for any r. That needs one [p] across the instances:
+      unequal [p] is refused with [kind="bad_request"] naming both
+      values, never guessed.
+    - {b Independent seeds, max / dominance.} Per-key [max^(L)]
+      ({!Estcore.Max_pps.l}, the paper's closed form) for r = 2, the
+      [max^(HT)] baseline for any r; dominance adds the HT min-dominance
+      (Section 8.2).
+    - {b Independent seeds, or / distinct.} For r = 2, [or] walks the
+      per-key OR^(L) table machine-derived by Algorithm 1 on
+      {!Estcore.Designer.Problems.binary_known_seeds} (memoized under the
+      problem's fingerprint) and flattened into an
+      {!Estcore.Or_weighted.Table} (memoized per probability pair); when
+      derivation fails it degrades to the closed-form [OR^(L)]
+      ({!Aggregates.Distinct.l_estimate}) and says so in [provenance]
+      — the {!Numerics.Robust} ladder pattern. [distinct] reports the
+      L / U / HT estimates with the five outcome-class counts (Section
+      8.1). For r > 2 both answer from one {!Aggregates.Distinct.Multi}
+      computation (the Theorem 4.1 solver).
+    - {b Independent seeds, similarity kinds.} The joint inclusion law
+      is a product, not the diagonal the L* forms integrate over, so the
+      engine answers [kind="bad_request"] instead of a silently biased
+      estimate.
+
+    Every query refusal (unknown instance, wrong arity, wrong seed mode,
+    unequal [p], unknown verb at the parse layer) carries
+    [kind="bad_request"] and leaves the session open. Responses carry a
+    [degradations] field — the number of {!Numerics.Robust} fallbacks
+    consumed while answering — so clients see degraded answers without
+    scraping logs. Each query runs under an {!Numerics.Obs} span named
+    [server.query/<kind>]. *)
 
 type t
 
 val mode_name : Sampling.Seeds.mode -> string
 (** ["shared"] / ["independent"] — the wire spelling used by PULL / SYNC
     headers and the snapshot format. *)
-
-val eval_or_table :
-  (bool array * bool array) Estcore.Designer.estimator ->
-  Sampling.Seeds.t ->
-  ids:int * int ->
-  p1:float ->
-  p2:float ->
-  s1:int list ->
-  s2:int list ->
-  float
-(** Reference OR^(L) sum: per-key hashtable lookups on freshly built
-    (below, sampled) keys. Exposed as the oracle the bit-identity tests
-    compare the serving path against. *)
 
 val eval_or_flat :
   Estcore.Or_weighted.Table.t ->
@@ -66,9 +79,11 @@ val eval_or_flat :
   s1:int list ->
   s2:int list ->
   float
-(** The serving path: same walk through a flattened 16-cell table —
-    bit-identical to {!eval_or_table} on the table it was flattened
-    from. *)
+(** The serving path of [QUERY or] at r = 2: the OR^(L) sum over the
+    union of the two samples, one flattened 16-cell table read per key.
+    Bit-identical to summing {!Estcore.Designer.lookup} of each key's
+    (below, sampled) outcome in ascending key order, on the table it
+    was flattened from. *)
 
 val or_flat_tables : p1:float -> p2:float -> ((bool array * bool array) Estcore.Designer.estimator * Estcore.Or_weighted.Table.t, string) result
 (** Derive (memoized) the served OR^(L) table for a probability pair and

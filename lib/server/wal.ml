@@ -283,6 +283,7 @@ type recovery = {
   wal : t;
   checkpoint_epoch : int option;  (* [None]: cold start, no usable checkpoint *)
   replayed : int;  (* ops re-applied from segments *)
+  skipped_creates : int;  (* logged CREATEs [Store.validate_config] refuses *)
   truncated_bytes : int;  (* torn tail dropped from the final segment *)
   skipped_checkpoints : string list;  (* quarantined as [.corrupt] *)
 }
@@ -319,34 +320,43 @@ let apply_op store op =
       Store.flush store;
       Ok ()
 
-(* Replay one segment's frames into the store. A malformed suffix is
-   fine on the final segment — that is exactly the torn tail a crash
-   leaves — and the file is physically truncated back to the last good
-   frame so subsequent appends produce a clean log. Anywhere else it is
-   corruption and recovery refuses to guess. *)
+(* A CREATE whose parameters [Store.validate_config] refuses never took
+   effect: it was logged before the check moved ahead of the append, and
+   the live server answered it with an error. Replay skips it. *)
+let refused_create = function
+  | Create { tau; k; p; _ } -> Result.is_error (Store.validate_config { Store.tau; k; p })
+  | Ingest _ | Ingest_batch _ | Flush -> false
+
+(* Replay one segment's frames into the store; returns the ops applied,
+   the refused CREATEs skipped and the torn bytes dropped. A malformed
+   suffix is fine on the final segment — that is exactly the torn tail a
+   crash leaves — and the file is physically truncated back to the last
+   good frame so subsequent appends produce a clean log. Anywhere else
+   it is corruption and recovery refuses to guess. *)
 let replay_segment store ~is_last path =
   let* data = Durable.read_file path in
-  let rec go pos count =
+  let rec go pos count skipped =
     match decode_at data pos with
-    | End -> Ok (count, 0)
+    | End -> Ok (count, skipped, 0)
+    | Frame (op, next) when refused_create op -> go next count (skipped + 1)
     | Frame (op, next) ->
         let* () =
           Result.map_error
             (fun m -> Printf.sprintf "%s: replay failed at byte %d: %s" path pos m)
             (apply_op store op)
         in
-        go next (count + 1)
+        go next (count + 1) skipped
     | Torn reason ->
         if is_last then begin
           Durable.truncate_file ~path pos;
-          Ok (count, String.length data - pos)
+          Ok (count, skipped, String.length data - pos)
         end
         else
           Error
             (Printf.sprintf "%s: corrupt frame at byte %d (%s) in a non-final \
                              segment" path pos reason)
   in
-  go 0 0
+  go 0 0 0
 
 let recover ?pool ?(store_cfg = Store.default_config) cfg =
   (match Unix.mkdir cfg.dir 0o755 with
@@ -414,13 +424,13 @@ let recover ?pool ?(store_cfg = Store.default_config) cfg =
     let base_epoch = Option.value checkpoint_epoch ~default:0 in
     let live = List.filter (fun (e, _, _) -> e >= base_epoch) segments in
     let n_live = List.length live in
-    let* replayed, truncated_bytes =
+    let* replayed, skipped_creates, truncated_bytes =
       List.fold_left
         (fun acc (i, (_, _, path)) ->
-          let* total, _ = acc in
-          let* n, trunc = replay_segment store ~is_last:(i = n_live - 1) path in
-          Ok (total + n, trunc))
-        (Ok (0, 0))
+          let* total, skipped, _ = acc in
+          let* n, s, trunc = replay_segment store ~is_last:(i = n_live - 1) path in
+          Ok (total + n, skipped + s, trunc))
+        (Ok (0, 0, 0))
         (List.mapi (fun i s -> (i, s)) live)
     in
     Store.flush store;
@@ -439,6 +449,7 @@ let recover ?pool ?(store_cfg = Store.default_config) cfg =
         wal;
         checkpoint_epoch;
         replayed;
+        skipped_creates;
         truncated_bytes;
         skipped_checkpoints;
       }

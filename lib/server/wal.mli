@@ -93,6 +93,10 @@ type recovery = {
   wal : t;  (** attached for further appends, continuing the log *)
   checkpoint_epoch : int option;  (** [None] on a cold start *)
   replayed : int;  (** ops re-applied from segments *)
+  skipped_creates : int;
+      (** logged CREATEs whose parameters {!Store.validate_config}
+          refuses — written before that check preceded the append, never
+          applied by the live server, so replay skips them *)
   truncated_bytes : int;  (** torn tail dropped from the final segment *)
   skipped_checkpoints : string list;
       (** damaged checkpoints, quarantined as [<file>.corrupt], with the
@@ -109,6 +113,9 @@ val recover :
     generation takes over (its segments were kept for exactly this); a
     malformed suffix of the {e final} segment is treated as a torn tail,
     dropped, and physically truncated — malformed bytes anywhere else
-    are an error, never silently skipped. [store_cfg] (default
+    are an error, never silently skipped. A logged CREATE that
+    {!Store.validate_config} refuses is skipped and counted in
+    [skipped_creates]; any other op that fails to apply fails recovery.
+    [store_cfg] (default
     {!Store.default_config}) supplies the configuration when no
     checkpoint exists, and the shard count always. *)

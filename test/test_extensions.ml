@@ -178,7 +178,7 @@ let test_coord_distinct () =
     let s1 = Aggregates.Distinct.sample_binary seeds ~p ~instance:0 a in
     let s2 = Aggregates.Distinct.sample_binary seeds ~p ~instance:1 b in
     Numerics.Stats.Acc.add acc
-      (Aggregates.Distinct.coordinated_estimate ~p ~s1 ~s2
+      (Aggregates.Distinct.coordinated_estimate ~p ~samples:[| s1; s2 |]
          ~select:(fun _ -> true))
   done;
   let mean = Numerics.Stats.Acc.mean acc in

@@ -810,6 +810,29 @@ let test_pool_exception () =
         "pool survives" (Array.init 6 Fun.id)
         (Pool.parallel_init p ~n:6 Fun.id))
 
+(* [~domains:2] means two domains run tasks: the caller, which drains
+   the queue while it waits, and one spawned worker. A third domain
+   would oversubscribe a 2-core host. *)
+let test_pool_domain_count () =
+  with_pool 2 (fun p ->
+      let lock = Mutex.create () and ids = ref [] in
+      let body i =
+        let id = (Domain.self () :> int) in
+        Mutex.protect lock (fun () ->
+            if not (List.mem id !ids) then ids := id :: !ids);
+        (* enough work per task that every running domain picks some up *)
+        let acc = ref 0. in
+        for j = 1 to 20_000 do
+          acc := !acc +. sqrt (float_of_int (i + j))
+        done;
+        !acc
+      in
+      for _ = 1 to 50 do
+        ignore (Pool.parallel_map p body (Array.init 64 Fun.id))
+      done;
+      let n = List.length !ids in
+      if n > 2 then Alcotest.failf "%d distinct domains ran tasks at ~domains:2" n)
+
 let test_pool_shutdown_inline () =
   let p = Pool.create ~domains:4 () in
   Pool.shutdown p;
@@ -1186,6 +1209,8 @@ let () =
             test_pool_exception;
           Alcotest.test_case "shutdown runs inline" `Quick
             test_pool_shutdown_inline;
+          Alcotest.test_case "domains counts the caller" `Quick
+            test_pool_domain_count;
           Alcotest.test_case "substream order-independent" `Quick
             test_prng_substream_independent_of_order;
           Alcotest.test_case "grain keeps results bit-identical" `Quick

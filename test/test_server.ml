@@ -556,6 +556,24 @@ let test_engine_or_designer_matches_closed_form () =
       Alcotest.(check (option string)) "no degradations" (Some "0")
         (P.json_field "degradations" resp)
 
+module ISet = Set.Make (Int)
+
+(* Reference OR^(L) sum: per-key hashtable lookups on freshly built
+   (below, sampled) keys, with seeds recomputed at the instances'
+   recorded ids — the oracle the flat serving walk is held to. *)
+let eval_or_table table seeds ~ids:(id1, id2) ~p1 ~p2 ~s1 ~s2 =
+  let set1 = ISet.of_list s1 and set2 = ISet.of_list s2 in
+  ISet.fold
+    (fun h acc ->
+      let u1 = Sampling.Seeds.seed seeds ~instance:id1 ~key:h in
+      let u2 = Sampling.Seeds.seed seeds ~instance:id2 ~key:h in
+      let key =
+        ([| u1 <= p1; u2 <= p2 |], [| ISet.mem h set1; ISet.mem h set2 |])
+      in
+      acc +. Estcore.Designer.lookup table key)
+    (ISet.union set1 set2)
+    0.
+
 (* The engine now serves [QUERY or] through the flattened 16-cell
    Or_weighted table. The flat walk must return the same bits as the
    hashtable oracle it replaced, on every (ids, sampled-sets) shape —
@@ -589,7 +607,7 @@ let test_engine_or_flat_matches_table () =
               List.iter
                 (fun (s1, s2) ->
                   let oracle =
-                    Engine.eval_or_table table seeds ~ids ~p1 ~p2 ~s1 ~s2
+                    eval_or_table table seeds ~ids ~p1 ~p2 ~s1 ~s2
                   in
                   let served =
                     Engine.eval_or_flat flat seeds ~ids ~p1 ~p2 ~s1 ~s2
@@ -741,6 +759,216 @@ let test_engine_similarity_guards () =
   bad_request resp;
   let resp, _ = Engine.handle_line shared "NONSENSE" in
   bad_request resp
+
+(* ------------------------------------------------------------------ *)
+(* The query table on shared seeds                                     *)
+(* ------------------------------------------------------------------ *)
+
+let instances_of st names =
+  List.map
+    (fun n ->
+      match Store.find st n with
+      | Some i -> i
+      | None -> Alcotest.failf "instance %s missing" n)
+    names
+
+(* Three shared-seed instances at one sampling probability [p]: the
+   coordinated distinct count needs a common p. *)
+let coordinated_p = 0.25
+
+let coordinated_store () =
+  let st =
+    Store.create
+      {
+        Store.default_config with
+        master = 909;
+        flush_every = 1024;
+        mode = Sampling.Seeds.Shared;
+      }
+  in
+  List.iter
+    (fun (name, tau) ->
+      ignore (create_exn st ~name ~tau ~k:16 ~p:coordinated_p ()))
+    [ ("h1", 40.); ("h2", 60.); ("h3", 50.) ];
+  feed_random st ~names:[ "h1"; "h2"; "h3" ] ~records:3000 ~keys:300 ~seed:29;
+  Store.flush st;
+  st
+
+(* Shared seeds: max and dominance answer the weighted-union L* sum of
+   the similarity walk, and or / distinct the coordinated count
+   |S1 ∪ … ∪ Sr| / p, at r = 2 and r = 3. *)
+let test_engine_shared_seed_rows () =
+  let st = coordinated_store () in
+  let e = Engine.create st in
+  let answer kind names =
+    match Engine.query e kind names with
+    | Ok resp -> resp
+    | Error m ->
+        Alcotest.failf "%s query: %s" (P.query_kind_name kind) m
+  in
+  let rename ~from ~into resp =
+    Str.global_replace (Str.regexp_string from) into resp
+  in
+  List.iter
+    (fun names ->
+      let insts = instances_of st names in
+      let r = List.length names in
+      let max_resp = answer P.Max names in
+      Alcotest.(check string)
+        (Printf.sprintf "max equals union byte for byte (r = %d)" r)
+        (answer P.Union names)
+        (max_resp
+        |> rename ~from:{|"kind":"max"|} ~into:{|"kind":"union"|}
+        |> rename ~from:{|"estimator":"max-lstar"|}
+             ~into:{|"estimator":"union-lstar"|});
+      let ps =
+        {
+          Aggregates.Sum_agg.seeds = Store.seeds st;
+          taus =
+            Array.of_list
+              (List.map (fun i -> (Store.instance_config i).Store.tau) insts);
+          samples = Array.of_list (List.map Store.pps_sample insts);
+        }
+      in
+      let s = Aggregates.Similarity.sums ps ~select:(fun _ -> true) in
+      let dom = answer P.Dominance names in
+      Alcotest.(check (option string)) "dominance estimator"
+        (Some "maxdom-lstar")
+        (P.json_field "estimator" dom);
+      check_float ~eps:0. "dominance estimate is the reference union sum"
+        s.Aggregates.Similarity.union_hat
+        (float_field_exn "dominance" "estimate" dom);
+      check_float ~eps:0. "dominance union field"
+        s.Aggregates.Similarity.union_hat
+        (float_field_exn "dominance" "union" dom);
+      check_float ~eps:0. "dominance min is the reference intersection sum"
+        s.Aggregates.Similarity.inter_hat
+        (float_field_exn "dominance" "intersection" dom);
+      let sampled =
+        List.fold_left
+          (fun acc i -> ISet.union acc (ISet.of_list (Store.binary_sample i)))
+          ISet.empty insts
+      in
+      let expected = float_of_int (ISet.cardinal sampled) /. coordinated_p in
+      List.iter
+        (fun (kind, estimator) ->
+          let resp = answer kind names in
+          Alcotest.(check (option string))
+            (estimator ^ " estimator") (Some estimator)
+            (P.json_field "estimator" resp);
+          check_float ~eps:0.
+            (Printf.sprintf "%s = |union of samples| / p (r = %d)" estimator r)
+            expected
+            (float_field_exn estimator "estimate" resp))
+        [ (P.Or, "or-coordinated"); (P.Distinct, "distinct-coordinated") ])
+    [ [ "h1"; "h2" ]; [ "h1"; "h2"; "h3" ] ]
+
+(* Shared-seed or / distinct over instances sampled at different p have
+   no single inclusion probability: the table refuses with a structured
+   bad_request naming both values, and the session carries on. *)
+let test_engine_shared_unequal_p_refused () =
+  let e = Engine.create (shared_store ()) in
+  List.iter
+    (fun kind ->
+      let resp, act = Engine.handle_line e ("QUERY " ^ kind ^ " h1 h2") in
+      Alcotest.(check bool) (kind ^ " answered not-ok") false (P.json_ok resp);
+      Alcotest.(check (option string)) (kind ^ " is bad_request")
+        (Some "bad_request")
+        (P.json_field "kind" resp);
+      Alcotest.(check (option string)) (kind ^ " refusal names both p")
+        (Some
+           (kind
+          ^ "-coordinated needs one sampling probability across its \
+             instances: h1 has p=0.3, h2 has p=0.2"))
+        (P.json_field "error" resp);
+      Alcotest.(check bool) (kind ^ ": session continues") true
+        (act = Engine.Continue);
+      let resp, _ = Engine.handle_line e "QUERY max h1 h2" in
+      Alcotest.(check bool) "next query answered" true (P.json_ok resp))
+    [ "or"; "distinct" ]
+
+(* Unbiasedness of the shared-seed rows. The data is fixed; only the
+   store's master seed varies, over 200 seeds. Each answer's mean must
+   lie within 4 standard errors of the exact aggregate (Σmax for max and
+   dominance, the distinct-key count for or and distinct), a bound an
+   unbiased estimator misses with probability about 6e-5 per check. *)
+let test_engine_shared_seed_unbiased () =
+  (* (name, tau, records): weights below tau make most inclusions
+     random; h1 and h2 overlap on keys 51..100, h3 on a stride of 3. *)
+  let data =
+    [ ( "h1", 40.,
+        List.init 100 (fun i -> (i + 1, float_of_int (1 + (i * 37 mod 50)))) );
+      ( "h2", 60.,
+        List.init 100 (fun i -> (i + 51, float_of_int (1 + (i * 53 mod 60)))) );
+      ( "h3", 50.,
+        List.init 60 (fun i -> ((i * 3) + 1, float_of_int (2 + (i * 11 mod 45))))
+      ) ]
+  in
+  let exact names =
+    let best = Hashtbl.create 256 in
+    List.iter
+      (fun (name, _, kv) ->
+        if List.mem name names then
+          List.iter
+            (fun (k, v) ->
+              let old = Option.value ~default:0. (Hashtbl.find_opt best k) in
+              Hashtbl.replace best k (Float.max old v))
+            kv)
+      data;
+    ( Hashtbl.fold (fun _ v acc -> acc +. v) best 0.,
+      float_of_int (Hashtbl.length best) )
+  in
+  let shapes = [ [ "h1"; "h2" ]; [ "h1"; "h2"; "h3" ] ] in
+  let kinds = [ P.Max; P.Dominance; P.Or; P.Distinct ] in
+  let accs =
+    List.map
+      (fun names ->
+        (names, List.map (fun k -> (k, Numerics.Stats.Acc.create ())) kinds))
+      shapes
+  in
+  for master = 1 to 200 do
+    let st =
+      Store.create
+        { Store.default_config with master; mode = Sampling.Seeds.Shared }
+    in
+    List.iter
+      (fun (name, tau, kv) ->
+        ignore (create_exn st ~name ~tau ~k:16 ~p:coordinated_p ());
+        List.iter (fun (key, weight) -> ingest_exn st ~name ~key ~weight) kv)
+      data;
+    Store.flush st;
+    let e = Engine.create st in
+    List.iter
+      (fun (names, per_kind) ->
+        List.iter
+          (fun (kind, acc) ->
+            match Engine.query e kind names with
+            | Ok resp ->
+                Numerics.Stats.Acc.add acc (float_field_exn "mc" "estimate" resp)
+            | Error m -> Alcotest.failf "master %d: %s" master m)
+          per_kind)
+      accs
+  done;
+  List.iter
+    (fun (names, per_kind) ->
+      let smax, distinct = exact names in
+      List.iter
+        (fun (kind, acc) ->
+          let truth =
+            match kind with P.Or | P.Distinct -> distinct | _ -> smax
+          in
+          let mean = Numerics.Stats.Acc.mean acc in
+          let se = Numerics.Stats.Acc.stderr acc in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s over %s is random" (P.query_kind_name kind)
+               (String.concat "," names))
+            true (se > 0.);
+          if Float.abs (mean -. truth) > 4. *. se then
+            Alcotest.failf "%s over %s: mean %.6g vs exact %.6g (%.2f se)"
+              (P.query_kind_name kind) (String.concat "," names) mean truth
+              ((mean -. truth) /. se))
+        per_kind)
+    accs
 
 (* ------------------------------------------------------------------ *)
 (* End to end: daemon + client over TCP                                *)
@@ -1218,6 +1446,12 @@ let () =
             test_engine_similarity_queries;
           Alcotest.test_case "similarity refusals are structured bad_request"
             `Quick test_engine_similarity_guards;
+          Alcotest.test_case "shared seeds: max = union, coordinated counts"
+            `Quick test_engine_shared_seed_rows;
+          Alcotest.test_case "shared seeds: unequal p refused" `Quick
+            test_engine_shared_unequal_p_refused;
+          Alcotest.test_case "shared seeds: answers unbiased within 4 se"
+            `Quick test_engine_shared_seed_unbiased;
         ] );
       ( "e2e",
         [

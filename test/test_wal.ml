@@ -896,6 +896,46 @@ let test_create_out_of_range_k () =
   | Ok _ -> Alcotest.fail "summary payload with k = max_int accepted"
   | Error m -> Alcotest.(check bool) "payload diagnostic" true (m <> "")
 
+(* A WAL written before the parameter check preceded the append can hold
+   a logged CREATE that never took effect. Replay skips exactly that op,
+   counts it, and lands on the same state as a log without it; the valid
+   ops on both sides of it replay as usual. *)
+let test_replay_skips_refused_create () =
+  with_dir "wal" @@ fun dir ->
+  let mid = 10 in
+  let r = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  run_ops (Engine.create ~wal:r.Wal.wal r.Wal.store) (take mid script);
+  let segment = Wal.segment r.Wal.wal in
+  Wal.close r.Wal.wal;
+  let refused = Wal.Create { name = "h"; tau = 60.; k = max_int; p = 0.2 } in
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 segment in
+  output_string oc (Wal.encode_frame refused);
+  close_out oc;
+  let r2 = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  Alcotest.(check int) "refused CREATE skipped" 1 r2.Wal.skipped_creates;
+  Alcotest.(check int) "valid prefix replayed" mid r2.Wal.replayed;
+  Alcotest.(check bool) "refused instance absent" true
+    (Store.find r2.Wal.store "h" = None);
+  run_ops (Engine.create ~wal:r2.Wal.wal r2.Wal.store)
+    (List.filteri (fun i _ -> i >= mid) script);
+  Wal.close r2.Wal.wal;
+  let r3 = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  Alcotest.(check int) "still one skip" 1 r3.Wal.skipped_creates;
+  Alcotest.(check int) "ops on both sides replayed" n_script r3.Wal.replayed;
+  check_equals_reference ~msg:"replay around a refused CREATE" r3.Wal.store
+    n_script;
+  Wal.close r3.Wal.wal;
+  (* Any other op that fails to apply still fails recovery. *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 segment in
+  output_string oc
+    (Wal.encode_frame (Wal.Ingest { name = "nope"; key = 1; weight = 1. }));
+  close_out oc;
+  match Wal.recover ~store_cfg:cfg (wal_cfg dir) with
+  | Ok r4 ->
+      Wal.close r4.Wal.wal;
+      Alcotest.fail "an ingest into an unknown instance replayed"
+  | Error m -> Alcotest.(check bool) "replay error names the op" true (m <> "")
+
 let () =
   Alcotest.run "wal"
     [
@@ -976,5 +1016,7 @@ let () =
         [
           Alcotest.test_case "out-of-range k refused before the log" `Quick
             test_create_out_of_range_k;
+          Alcotest.test_case "replay skips a logged refused CREATE" `Quick
+            test_replay_skips_refused_create;
         ] );
     ]

@@ -113,6 +113,28 @@ if [ -n "$varopt_hits" ]; then
     status=1
 fi
 
+# Codec discipline: a summary has one codec, Merge.payload /
+# Merge.of_lines, and every snapshot section (file, WAL checkpoint,
+# SYNC) is that payload. The retired `instance <name> …` section header
+# (written as "instance %s …", matched as "instance") and a second
+# spelling table for the seed mode (Store.mode_name / mode_of_name is
+# the one) would bring a second codec back.
+codec_hits=$(grep -rnE '"instance( %s|"| ")' "$root/lib/server" \
+    --include='*.ml' 2>/dev/null)
+if [ -n "$codec_hits" ]; then
+    echo "lint: the instance-section literal is banned under lib/server — sections are Merge payloads:" >&2
+    echo "$codec_hits" >&2
+    status=1
+fi
+mode_hits=$(grep -rnE 'let[[:space:]]+mode_(name|of_name)[^_[:alnum:]]' \
+    "$root/lib/server" --include='*.ml' 2>/dev/null \
+    | grep -v 'lib/server/store\.ml:')
+if [ -n "$mode_hits" ]; then
+    echo "lint: seed-mode names are defined once, in lib/server/store.ml:" >&2
+    echo "$mode_hits" >&2
+    status=1
+fi
+
 # Per-key list lookups are how the sum aggregates went quadratic (one
 # List.assoc_opt walk per sampled key). Serving code and the dominance
 # norms index a sample once instead.

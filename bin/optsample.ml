@@ -626,9 +626,10 @@ let serve_cmd =
       value & opt int 0
       & info [ "timeout-ms" ]
           ~doc:
-            "Per-session read timeout in milliseconds (SO_RCVTIMEO); 0 = \
-             none. Idle sessions are answered a structured timeout error \
-             and closed.")
+            "Per-session idle timeout in milliseconds; 0 = none. The event \
+             loop tracks each connection's last read: a session idle past \
+             the timeout is answered a structured timeout error and \
+             closed.")
   in
   let backlog =
     Arg.(value & opt int 16 & info [ "backlog" ] ~doc:"Listen backlog.")

@@ -73,10 +73,6 @@ let eval_or_flat flat seeds ~ids:(id1, id2) ~p1 ~p2 ~s1 ~s2 =
 
 let select_all _ = true
 
-let mode_name = function
-  | Sampling.Seeds.Shared -> "shared"
-  | Sampling.Seeds.Independent -> "independent"
-
 let pps_samples_of st insts =
   {
     Aggregates.Sum_agg.seeds = Store.seeds st;
@@ -466,15 +462,15 @@ let handle_request t req =
           ( P.ok_lines
               [ ("name", P.jstr name); ("id", P.jint (Store.id inst));
                 ("master", P.jint cfg.Store.master);
-                ("mode", P.jstr (mode_name cfg.Store.mode)) ]
+                ("mode", P.jstr (Store.mode_name cfg.Store.mode)) ]
               lines,
             Continue ))
   | P.Sync -> (
       Store.flush st;
-      (* Checkpoint-then-ship: with a WAL attached the shipped snapshot
-         is exactly the new checkpoint's content (same Snapshot.to_string
-         of the same flushed store), so a follower holding the payload
-         holds the checkpoint. *)
+      (* Checkpoint-then-ship: with a WAL attached the shipped lines are
+         exactly the new checkpoint's content (Snapshot.to_string is
+         Snapshot.lines of the same flushed store), so a follower holding
+         the payload holds the checkpoint. *)
       let extra =
         match t.t_wal with
         | None -> Ok []
@@ -487,17 +483,14 @@ let handle_request t req =
       | Error m -> (P.error ~kind:"wal" m, Continue)
       | Ok extra ->
           let cfg = Store.config st in
+          let insts = Store.instances st in
           let lines =
-            match
-              List.rev (String.split_on_char '\n' (Snapshot.to_string st))
-            with
-            | "" :: rev -> List.rev rev
-            | rev -> List.rev rev
+            Snapshot.lines cfg (List.map Store.export_summary insts)
           in
           ( P.ok_lines
-              (("instances", P.jint (List.length (Store.instances st)))
+              (("instances", P.jint (List.length insts))
                :: ("master", P.jint cfg.Store.master)
-               :: ("mode", P.jstr (mode_name cfg.Store.mode))
+               :: ("mode", P.jstr (Store.mode_name cfg.Store.mode))
                :: extra)
               lines,
             Continue ))

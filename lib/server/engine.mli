@@ -66,10 +66,6 @@
 
 type t
 
-val mode_name : Sampling.Seeds.mode -> string
-(** ["shared"] / ["independent"] — the wire spelling used by PULL / SYNC
-    headers and the snapshot format. *)
-
 val eval_or_flat :
   Estcore.Or_weighted.Table.t ->
   Sampling.Seeds.t ->

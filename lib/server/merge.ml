@@ -70,34 +70,42 @@ let merge_all seeds = function
      summary <name> <id> <tau> <k> <p> <records> <volume>
      w <key> <weight>      (ascending key)
      end
-*)
 
-let payload (s : Store.summary) =
+   It is the one codec for a summary: PULL ships it, and every instance
+   section of a snapshot (file, WAL checkpoint, SYNC) is one. *)
+
+let iter_payload f (s : Store.summary) =
   let cfg = s.Store.s_cfg in
-  let header =
-    Printf.sprintf "summary %s %d %h %d %h %d %h" s.Store.s_name s.Store.s_id
-      cfg.Store.tau cfg.Store.k cfg.Store.p s.Store.s_records s.Store.s_volume
-  in
-  (header
-  :: List.map (fun (k, v) -> Printf.sprintf "w %d %h" k v) s.Store.s_weights)
-  @ [ "end" ]
+  f
+    (Printf.sprintf "summary %s %d %h %d %h %d %h" s.Store.s_name s.Store.s_id
+       cfg.Store.tau cfg.Store.k cfg.Store.p s.Store.s_records
+       s.Store.s_volume);
+  List.iter (fun (k, v) -> f (Printf.sprintf "w %d %h" k v)) s.Store.s_weights;
+  f "end"
+
+let payload s =
+  let acc = ref [] in
+  iter_payload (fun l -> acc := l :: !acc) s;
+  List.rev !acc
 
 let ( let* ) = Result.bind
 
-let p_int what s =
+let int_field what s =
   match int_of_string_opt s with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "bad %s %S (expected an integer)" what s)
 
-let p_float what s =
+let float_field what s =
   match float_of_string_opt s with
   | Some v when Float.is_finite v -> Ok v
   | Some v -> Error (Printf.sprintf "%s %g is not finite" what v)
   | None -> Error (Printf.sprintf "bad %s %S (expected a hex float)" what s)
 
-let p_pos_float what s =
-  let* v = p_float what s in
-  if v > 0. then Ok v else Error (Printf.sprintf "%s %g must be > 0" what v)
+let pos_float_field what s =
+  match float_field what s with
+  | Ok v when not (v > 0.) ->
+      Error (Printf.sprintf "%s %g must be > 0" what v)
+  | r -> r
 
 let parse_header line =
   match String.split_on_char ' ' line with
@@ -105,19 +113,24 @@ let parse_header line =
       if not (Protocol.valid_name name) then
         Error (Printf.sprintf "invalid instance name %S" name)
       else
-        let* id = p_int "instance id" id in
-        let* tau = p_float "tau" tau in
-        let* k = p_int "k" k in
-        let* p = p_float "p" p in
-        let* records = p_int "records" records in
-        let* volume = p_float "volume" volume in
+        let* id = int_field "instance id" id in
+        let* tau = float_field "tau" tau in
+        let* k = int_field "k" k in
+        let* p = float_field "p" p in
+        let* records = int_field "records" records in
+        (* The volume is a sum of finite weights that can overflow to
+           infinity; any value >= 0, infinity included, is one a store
+           holds. *)
+        let* volume =
+          match float_of_string_opt volume with
+          | Some v when v >= 0. -> Ok v
+          | _ -> Error (Printf.sprintf "bad volume %S (expected >= 0)" volume)
+        in
         let s_cfg = { Store.tau; k; p } in
         let* () = Store.validate_config s_cfg in
         if id < 0 then Error (Printf.sprintf "negative instance id %d" id)
         else if records < 0 then
           Error (Printf.sprintf "negative record count %d" records)
-        else if volume < 0. then
-          Error (Printf.sprintf "negative volume %g" volume)
         else
           Ok
             {
@@ -137,32 +150,46 @@ let parse_header line =
 
 (* Strict parser: weights strictly ascending by key (the byte-stability
    contract doubles as a corruption and duplicate check). *)
-let of_lines lines =
-  match lines with
+let parse_section line items =
+  match items with
   | [] -> Error "empty summary payload"
   | header :: rest ->
-      let* base = parse_header header in
+      let* base = parse_header (line header) in
       let rec go acc = function
         | [] -> Error "truncated summary payload (missing 'end')"
-        | [ "end" ] -> Ok { base with Store.s_weights = List.rev acc }
-        | "end" :: _ -> Error "trailing garbage after 'end'"
-        | line :: rest -> (
-            match String.split_on_char ' ' line with
+        | item :: rest -> (
+            match String.split_on_char ' ' (line item) with
+            | [ "end" ] ->
+                Ok ({ base with Store.s_weights = List.rev acc }, rest)
             | [ "w"; key; v ] -> (
-                let* key = p_int "weight key" key in
-                let* v = p_pos_float "weight" v in
-                match acc with
-                | (prev, _) :: _ when key <= prev ->
-                    Error (Printf.sprintf "weight keys out of order at %d" key)
-                | _ -> go ((key, v) :: acc) rest)
+                (* Matches, not let*: this runs once per key of every
+                   PULL and snapshot load. *)
+                match int_field "weight key" key with
+                | Error _ as e -> e
+                | Ok key -> (
+                    match pos_float_field "weight" v with
+                    | Error _ as e -> e
+                    | Ok v -> (
+                        match acc with
+                        | (prev, _) :: _ when key <= prev ->
+                            Error
+                              (Printf.sprintf "weight keys out of order at %d"
+                                 key)
+                        | _ -> go ((key, v) :: acc) rest)))
             | _ ->
                 Error
                   (Printf.sprintf
                      "bad summary line %S (expected 'w <key> <weight>' or \
                       'end')"
-                     line))
+                     (line item)))
       in
       go [] rest
+
+let of_lines lines =
+  match parse_section Fun.id lines with
+  | Ok (s, []) -> Ok s
+  | Ok (_, _ :: _) -> Error "trailing garbage after 'end'"
+  | Error _ as e -> e
 
 (* Build a queryable store from merged summaries: instances are
    installed under their recorded ids (seed derivations match the

@@ -401,32 +401,6 @@ module Conn = struct
       | exception Sys_error _ -> None
       | exception Sys_blocked_io -> None
 
-  let input_line_bounded t ~max =
-    if read_fault t then `Eof
-    else
-      let buf = Buffer.create 128 in
-      let rec go () =
-        match input_char t.ic with
-        | '\n' -> `Line (strip_cr (Buffer.contents buf))
-        | _ when Buffer.length buf >= max -> `Too_long
-        | c ->
-            Buffer.add_char buf c;
-            go ()
-        | exception End_of_file ->
-            if Buffer.length buf = 0 then `Eof
-            else `Line (strip_cr (Buffer.contents buf))
-        | exception Sys_error _ ->
-            (* A read timeout (SO_RCVTIMEO) surfaces as Sys_error from
-               the buffered channel; a half-received line is abandoned
-               with the session. *)
-            `Timeout
-        | exception Sys_blocked_io ->
-            (* SO_RCVTIMEO expiry is EAGAIN, which the channel layer
-               raises as Sys_blocked_io, not Sys_error. *)
-            `Timeout
-      in
-      go ()
-
   let output_line t line =
     match F.fire_io ~site:"conn.write" ~kinds:[ F.Io_drop ] with
     | Some F.Io_drop ->

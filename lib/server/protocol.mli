@@ -170,14 +170,6 @@ module Conn : sig
   (** Next line ([None] at EOF, or on a read timeout — the caller cannot
       use a half-received line either way). Strips a trailing CR. *)
 
-  val input_line_bounded :
-    t -> max:int -> [ `Line of string | `Too_long | `Timeout | `Eof ]
-  (** Like {!input_line_opt} but refuses lines longer than [max] bytes
-      {e while reading} — a slowloris peer cannot make the server buffer
-      unboundedly. [`Too_long] leaves the rest of the line unread (the
-      session must answer a structured error and close). [`Timeout] is a
-      blocking read that hit the socket's [SO_RCVTIMEO]. *)
-
   val output_line : t -> string -> unit
   (** Write the line plus ['\n'] and flush. *)
 

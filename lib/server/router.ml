@@ -44,21 +44,22 @@ let close t =
 
    The router mirrors the instance catalog (it fans every CREATE), but a
    *restarted* router must relearn it: SYNC any backend and read the
-   instance headers out of the snapshot text. Backend 0 is as good as
-   any — CREATE fans to all daemons in order, so every daemon holds the
-   identical catalog. The snapshot header also carries the daemon's
-   master seed and mode, checked against ours: a router merging under
-   the wrong seed universe would answer garbage with full confidence. *)
+   section headers ([summary <name> …]) out of the snapshot text.
+   Backend 0 is as good as any — CREATE fans to all daemons in order, so
+   every daemon holds the identical catalog. The snapshot header also
+   carries the daemon's master seed and mode, checked against ours: a
+   router merging under the wrong seed universe would answer garbage
+   with full confidence. *)
 
 let check_universe cfg ~master ~mode_s ~where =
   if master <> string_of_int cfg.Store.master then
     Error
       (Printf.sprintf "%s has master seed %s, router has %d" where master
          cfg.Store.master)
-  else if mode_s <> Engine.mode_name cfg.Store.mode then
+  else if mode_s <> Store.mode_name cfg.Store.mode then
     Error
       (Printf.sprintf "%s samples in %s mode, router in %s" where mode_s
-         (Engine.mode_name cfg.Store.mode))
+         (Store.mode_name cfg.Store.mode))
   else Ok ()
 
 let catalog_of_sync cfg (header, lines) =
@@ -76,7 +77,7 @@ let catalog_of_sync cfg (header, lines) =
       List.filter_map
         (fun line ->
           match String.split_on_char ' ' line with
-          | "instance" :: name :: _ -> Some name
+          | "summary" :: name :: _ -> Some name
           | _ -> None)
         lines
     in
@@ -173,15 +174,18 @@ let merged_summary t ~name =
   in
   go 0 []
 
-let merged_store t names =
+let merged_summaries t names =
   let rec each acc = function
-    | [] -> Merge.materialize ~pool:t.pool t.cfg (List.rev acc)
+    | [] -> Ok (List.rev acc)
     | name :: rest -> (
         match merged_summary t ~name with
         | Ok s -> each (s :: acc) rest
         | Error _ as e -> e)
   in
   each [] names
+
+let merged_store t names =
+  Result.bind (merged_summaries t names) (Merge.materialize ~pool:t.pool t.cfg)
 
 (* --- request handling --- *)
 
@@ -241,32 +245,27 @@ let on_request t (req : P.request) : string * Engine.action =
           ( P.ok_lines
               [ ("name", P.jstr name); ("id", P.jint s.Store.s_id);
                 ("master", P.jint t.cfg.Store.master);
-                ("mode", P.jstr (Engine.mode_name t.cfg.Store.mode)) ]
+                ("mode", P.jstr (Store.mode_name t.cfg.Store.mode)) ]
               (Merge.payload s),
             Engine.Continue ))
   | P.Sync -> (
-      match merged_store t t.names with
+      (* The merged summaries are written as they are: nothing reads
+         their samples, so no store is materialized. *)
+      match merged_summaries t t.names with
       | Error m -> (P.error m, Engine.Continue)
-      | Ok st ->
-          let lines =
-            match
-              List.rev (String.split_on_char '\n' (Snapshot.to_string st))
-            with
-            | "" :: rev -> List.rev rev
-            | rev -> List.rev rev
-          in
+      | Ok ss ->
           ( P.ok_lines
               [ ("instances", P.jint (List.length t.names));
                 ("master", P.jint t.cfg.Store.master);
-                ("mode", P.jstr (Engine.mode_name t.cfg.Store.mode)) ]
-              lines,
+                ("mode", P.jstr (Store.mode_name t.cfg.Store.mode)) ]
+              (Snapshot.lines t.cfg ss),
             Engine.Continue ))
   | P.Snapshot path -> (
       (* Whole-cluster snapshot, written router-side. *)
-      match merged_store t t.names with
+      match merged_summaries t t.names with
       | Error m -> (P.error m, Engine.Continue)
-      | Ok st -> (
-          match Snapshot.write st ~path with
+      | Ok ss -> (
+          match Snapshot.write_summaries t.cfg ss ~path with
           | Ok n ->
               ( P.ok_fields
                   [ ("path", P.jstr path); ("instances", P.jint n) ],

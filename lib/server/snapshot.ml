@@ -1,40 +1,48 @@
-let magic = "optsample-snapshot 1"
+let magic = "optsample-snapshot 2"
 
 type parse_error = Sampling.Io.parse_error = { line : int; message : string }
 
 let err line message = Error { line; message }
 
-let mode_name = function
-  | Sampling.Seeds.Shared -> "shared"
-  | Sampling.Seeds.Independent -> "independent"
+(* The restore rule, applied when the text is written: [records] is the
+   key count and [volume] the weights summed in ascending key order. A
+   loader installs each section exactly as parsed, so the rule is what a
+   restart restores and a round trip is byte-identical. *)
+let restore_rule (s : Store.summary) =
+  {
+    s with
+    Store.s_records = List.length s.Store.s_weights;
+    s_volume = List.fold_left (fun v (_, w) -> v +. w) 0. s.Store.s_weights;
+  }
 
-let mode_of_name = function
-  | "shared" -> Some Sampling.Seeds.Shared
-  | "independent" -> Some Sampling.Seeds.Independent
-  | _ -> None
+let header (cfg : Store.config) count =
+  Printf.sprintf "%s %d %s %h %d %h %d %d" magic cfg.Store.master
+    (Store.mode_name cfg.Store.mode)
+    cfg.Store.default_tau cfg.Store.default_k cfg.Store.default_p
+    cfg.Store.flush_every count
+
+(* Every instance section is the PULL payload of its summary. *)
+let lines cfg summaries =
+  header cfg (List.length summaries)
+  :: List.concat_map (fun s -> Merge.payload (restore_rule s)) summaries
+
+(* The same lines as [lines], written straight into the text so a large
+   store's text never also exists as a list of lines. *)
+let render cfg count summaries =
+  let buf = Buffer.create 4096 in
+  let add l =
+    Buffer.add_string buf l;
+    Buffer.add_char buf '\n'
+  in
+  add (header cfg count);
+  Seq.iter (fun s -> Merge.iter_payload add (restore_rule s)) summaries;
+  Buffer.contents buf
 
 let to_string st =
   Store.flush st;
-  let cfg = Store.config st in
   let insts = Store.instances st in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d %s %h %d %h %d %d\n" magic cfg.Store.master
-       (mode_name cfg.Store.mode) cfg.Store.default_tau cfg.Store.default_k
-       cfg.Store.default_p cfg.Store.flush_every (List.length insts));
-  List.iter
-    (fun inst ->
-      let s = Store.export_summary inst in
-      let icfg = s.Store.s_cfg in
-      Buffer.add_string buf
-        (Printf.sprintf "instance %s %d %h %d %h\n" s.Store.s_name
-           s.Store.s_id icfg.Store.tau icfg.Store.k icfg.Store.p);
-      List.iter
-        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%d %h\n" k v))
-        s.Store.s_weights;
-      Buffer.add_string buf "end\n")
-    insts;
-  Buffer.contents buf
+  render (Store.config st) (List.length insts)
+    (Seq.map Store.export_summary (List.to_seq insts))
 
 (* Same line discipline as Sampling.Io: number lines before filtering
    comments/blanks, accept CRLF. *)
@@ -49,36 +57,30 @@ let lines_of_string s =
 
 let ( let* ) = Result.bind
 
-let parse_int n what s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> err n (Printf.sprintf "bad %s %S (expected an integer)" what s)
-
-let parse_pos_float n what s =
-  match float_of_string_opt s with
-  | Some v when Float.is_finite v && v > 0. -> Ok v
-  | Some v -> err n (Printf.sprintf "%s %g must be finite and > 0" what v)
-  | None -> err n (Printf.sprintf "bad %s %S (expected a hex float)" what s)
-
 let parse_header n header =
+  let field r = Result.map_error (fun message -> { line = n; message }) r in
   match String.split_on_char ' ' header with
   | a :: b :: rest when a ^ " " ^ b = magic -> (
       match rest with
       | [ master; mode; tau; k; p; flush_every; count ] -> (
-          let* master = parse_int n "master seed" master in
-          match mode_of_name mode with
+          let* master = field (Merge.int_field "master seed" master) in
+          match Store.mode_of_name mode with
           | None ->
               err n
                 (Printf.sprintf
                    "bad seed mode %S (expected shared or independent)" mode)
           | Some mode ->
-              let* default_tau = parse_pos_float n "default tau" tau in
-              let* default_k = parse_int n "default k" k in
-              let* default_p = parse_pos_float n "default p" p in
-              let* flush_every = parse_int n "flush_every" flush_every in
-              let* count = parse_int n "instance count" count in
+              let* default_tau =
+                field (Merge.pos_float_field "default tau" tau)
+              in
+              let* default_k = field (Merge.int_field "default k" k) in
+              let* default_p = field (Merge.pos_float_field "default p" p) in
+              let* flush_every =
+                field (Merge.int_field "flush_every" flush_every)
+              in
+              let* count = field (Merge.int_field "section count" count) in
               if count < 0 then
-                err n (Printf.sprintf "negative instance count %d" count)
+                err n (Printf.sprintf "negative section count %d" count)
               else
                 Ok (master, mode, default_tau, default_k, default_p,
                     flush_every, count))
@@ -87,28 +89,16 @@ let parse_header n header =
             (Printf.sprintf
                "truncated snapshot header: %d field(s) after %S, expected 7"
                (List.length fields) magic))
+  | "optsample-snapshot" :: version :: _ ->
+      err n
+        (Printf.sprintf
+           "snapshot format version %s is not readable (this build reads %S)"
+           version magic)
   | _ ->
       err n
         (Printf.sprintf "not an optsample snapshot (header %S, expected %S …)"
            header magic)
 
-let parse_instance_header n line =
-  match String.split_on_char ' ' line with
-  | [ "instance"; name; id; tau; k; p ] ->
-      let* id = parse_int n "instance id" id in
-      let* tau = parse_pos_float n "tau" tau in
-      let* k = parse_int n "k" k in
-      let* p = parse_pos_float n "p" p in
-      Ok (name, id, { Store.tau; k; p })
-  | _ ->
-      err n
-        (Printf.sprintf
-           "expected 'instance <name> <id> <tau> <k> <p>', got %S" line)
-
-(* The restore rule: an instance comes back as the summary of its
-   weights — [records] is the key count and [volume] the weights summed
-   in ascending key order — installed by the same path a merged PULL
-   takes, so its samples are rebuilt exactly. *)
 let of_string_r ?pool ?shards s =
   match lines_of_string s with
   | [] -> err 0 "empty input"
@@ -131,72 +121,47 @@ let of_string_r ?pool ?shards s =
         }
       in
       let st = Store.create ?pool cfg in
-      (* One instance section at a time: header, entries, 'end'. *)
-      let rec instances seen lines =
-        if seen = count then
-          match lines with
-          | [] -> Ok st
-          | (n, l) :: _ ->
-              err n (Printf.sprintf "trailing garbage after %d instance(s): %S"
-                       count l)
-        else
-          match lines with
-          | [] ->
-              err 0
-                (Printf.sprintf "truncated snapshot: %d of %d instance(s)"
-                   seen count)
-          | (n, l) :: lines ->
-              let* name, id, s_cfg = parse_instance_header n l in
-              if id <> seen then
-                err n
-                  (Printf.sprintf
-                     "instance id %d out of order (expected %d)" id seen)
-              else entries (n, name, id, s_cfg) [] lines
-      and entries ((n, name, id, s_cfg) as inst) acc lines =
-        match lines with
-        | [] -> err 0 (Printf.sprintf "missing 'end' for instance %S" name)
-        | (_, "end") :: lines -> (
-            let s_weights = List.rev acc in
-            let summary =
-              {
-                Store.s_name = name;
-                s_id = id;
-                s_cfg;
-                s_records = List.length s_weights;
-                s_volume =
-                  List.fold_left (fun v (_, w) -> v +. w) 0. s_weights;
-                s_weights;
-              }
-            in
-            match Store.install_summary st summary with
+      (* One section per instance, in id order; an error names the line
+         its section starts on. *)
+      let rec sections seen = function
+        | [] when seen < count ->
+            err 0
+              (Printf.sprintf "truncated snapshot: %d of %d instance(s)" seen
+                 count)
+        | [] -> Ok st
+        | (n, l) :: _ when seen = count ->
+            err n
+              (Printf.sprintf "trailing garbage after %d instance(s): %S" count
+                 l)
+        | ((n, _) :: _) as lines -> (
+            match Merge.parse_section snd lines with
             | Error m -> err n m
-            | Ok _ -> instances (id + 1) lines)
-        | (ln, l) :: lines -> (
-            match String.split_on_char ' ' l with
-            | [ k; v ] -> (
-                let* key = parse_int ln "key" k in
-                let* weight = parse_pos_float ln "weight" v in
-                match acc with
-                | (prev, _) :: _ when key = prev ->
-                    err ln (Printf.sprintf "duplicate key %d" key)
-                | (prev, _) :: _ when key < prev ->
-                    err ln
-                      (Printf.sprintf "key %d out of order (after %d)" key prev)
-                | _ -> entries inst ((key, weight) :: acc) lines)
-            | _ ->
-                err ln "expected two fields '<int-key> <hex-float>' or 'end'")
+            | Ok (s, _) when s.Store.s_id <> seen ->
+                err n
+                  (Printf.sprintf "summary id %d out of order (expected %d)"
+                     s.Store.s_id seen)
+            | Ok (s, rest) -> (
+                match Store.install_summary st s with
+                | Error m -> err n m
+                | Ok _ -> sections (seen + 1) rest))
       in
-      instances 0 rest
+      sections 0 rest
 
 (* All snapshot bytes go through Durable: the write is atomic (tmp +
    fsync + rename — a crash mid-write never damages the previous file)
    and the I/O fault plane applies, so the crash-recovery suite can tear
    snapshot writes too. *)
+let write_text ~path count text =
+  Result.map
+    (fun () -> count)
+    (Durable.write_file_atomic ~site:"snapshot.write" ~path text)
+
 let write st ~path =
-  let s = to_string st in
-  match Durable.write_file_atomic ~site:"snapshot.write" ~path s with
-  | Ok () -> Ok (List.length (Store.instances st))
-  | Error m -> Error m
+  write_text ~path (List.length (Store.instances st)) (to_string st)
+
+let write_summaries cfg summaries ~path =
+  let count = List.length summaries in
+  write_text ~path count (render cfg count (List.to_seq summaries))
 
 let load ?pool ?shards path =
   match Durable.read_file path with

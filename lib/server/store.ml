@@ -23,6 +23,15 @@ let default_config =
     max_inflight = 65536;
   }
 
+let mode_name = function
+  | Seeds.Shared -> "shared"
+  | Seeds.Independent -> "independent"
+
+let mode_of_name = function
+  | "shared" -> Some Seeds.Shared
+  | "independent" -> Some Seeds.Independent
+  | _ -> None
+
 type instance_config = { tau : float; k : int; p : float }
 
 (* Bottom-k working set: the k+1 smallest current (rank, key) pairs,

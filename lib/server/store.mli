@@ -57,6 +57,13 @@ val default_config : config
 (** [shards = 1], [master = 42], [Independent], [tau = 100.], [k = 64],
     [p = 0.05], [flush_every = 8192], [max_inflight = 65536]. *)
 
+val mode_name : Sampling.Seeds.mode -> string
+(** ["shared"] / ["independent"]: the spelling of {!config}[.mode] in
+    PULL / SYNC headers and the snapshot header. *)
+
+val mode_of_name : string -> Sampling.Seeds.mode option
+(** Inverse of {!mode_name}. *)
+
 type instance_config = { tau : float; k : int; p : float }
 
 type instance
@@ -178,8 +185,8 @@ val binary_sample : instance -> int list
     A [summary] is the complete, order-independent export of one
     instance: its counters and its weights, sorted by key, so
     serializing a summary is byte-stable whatever the ingestion order or
-    hashtable state — the same guarantee the snapshot format gives,
-    extended to the merge payloads {!Merge} puts on the wire. *)
+    hashtable state. {!Merge.payload} is its one serialization: PULL
+    ships it, and every snapshot section is one. *)
 
 type summary = {
   s_name : string;

@@ -16,11 +16,6 @@
 
 type fsync_policy = Always | Interval of int | Never
 
-let fsync_policy_to_string = function
-  | Always -> "always"
-  | Interval n -> Printf.sprintf "interval=%d" n
-  | Never -> "never"
-
 let fsync_policy_of_string s =
   match String.lowercase_ascii s with
   | "always" -> Ok Always

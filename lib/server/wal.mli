@@ -19,7 +19,6 @@ type fsync_policy =
   | Interval of int  (** fsync every [n] appends — bounded loss window *)
   | Never  (** leave flushing to the OS — crash loses the unsynced tail *)
 
-val fsync_policy_to_string : fsync_policy -> string
 val fsync_policy_of_string : string -> (fsync_policy, string) result
 (** Accepts ["always"], ["never"], ["interval=N"] (or a bare positive
     integer, meaning [Interval]). *)

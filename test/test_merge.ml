@@ -92,6 +92,23 @@ let test_payload_roundtrip () =
       Alcotest.(check int) "records survive" s.Store.s_records
         s'.Store.s_records
 
+(* Weights stay finite while their sum, the volume, can overflow: such a
+   summary still round trips through PULL and a snapshot. *)
+let test_overflowed_volume_roundtrip () =
+  let st = store_of [ ("a", [| (1, 0x1p1023); (2, 0x1p1023) |]) ] in
+  let s = export st "a" in
+  Alcotest.(check bool) "volume overflowed" true (s.Store.s_volume = infinity);
+  (match Merge.of_lines (Merge.payload s) with
+  | Ok s' -> check_payload "payload round trips" s s'
+  | Error m -> Alcotest.failf "payload refused: %s" m);
+  match Snapshot.of_string_r (Snapshot.to_string st) with
+  | Ok st' ->
+      Alcotest.(check string) "snapshot round trips" (Snapshot.to_string st)
+        (Snapshot.to_string st')
+  | Error e ->
+      Alcotest.failf "snapshot refused: %s"
+        (Sampling.Io.parse_error_to_string e)
+
 let test_of_lines_guards () =
   let st = store_of [ ("a", records ~seed:12 400) ] in
   let lines = Merge.payload (export st "a") in
@@ -579,6 +596,97 @@ let test_sync_checkpoints_wal () =
   Daemon.join daemon;
   Server.Wal.close r.Server.Wal.wal
 
+(* One codec: a snapshot section is a PULL payload. A daemon's SYNC text
+   and a router's SYNC text both load through Snapshot.of_string_r, and
+   a PULL from a daemon serving the loaded store answers the bytes of
+   Merge.payload of the source summary under the restore rule (records =
+   key count, volume = ascending-key sum). *)
+let restore_rule (s : Store.summary) =
+  {
+    s with
+    Store.s_records = List.length s.Store.s_weights;
+    s_volume = List.fold_left (fun acc (_, v) -> acc +. v) 0. s.Store.s_weights;
+  }
+
+let lines_exn c line =
+  match Client.request_lines c line with
+  | Ok (header, lines) ->
+      if not (P.json_ok header) then Alcotest.failf "%s answered %s" line header;
+      lines
+  | Error m -> Alcotest.failf "%s: %s" line m
+
+let pulled c name =
+  match Merge.of_lines (lines_exn c ("PULL " ^ name)) with
+  | Ok s -> s
+  | Error m -> Alcotest.failf "PULL %s payload: %s" name m
+
+let test_sync_sections_are_pull_payloads () =
+  let recs = e2e_recs () in
+  let names = List.map fst recs in
+  let backends =
+    Array.init 2 (fun _ -> Daemon.start (Engine.create (Store.create (cfg ()))))
+  in
+  let port_addr d =
+    Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", Daemon.port d)
+  in
+  let router =
+    match
+      Router.connect ~store_cfg:(cfg ())
+        (Array.to_list (Array.map port_addr backends))
+    with
+    | Ok t -> t
+    | Error m -> Alcotest.failf "router connect: %s" m
+  in
+  let rd = Router.start router in
+  let c = connect_exn "router" (Client.connect_tcp ~port:(Daemon.port rd) ()) in
+  let b0 =
+    connect_exn "backend 0" (Client.connect_tcp ~port:(Daemon.port backends.(0)) ())
+  in
+  List.iter (fun name -> ignore (ok_exn c (create_line name))) names;
+  List.iter (fun (name, rs) -> feed c name rs) recs;
+  let shutdown c =
+    ignore (ok_exn c "SHUTDOWN");
+    Client.close c
+  in
+  let check_source what endpoint =
+    let sources = List.map (pulled endpoint) names in
+    let text = String.concat "\n" (lines_exn endpoint "SYNC") ^ "\n" in
+    let st =
+      match Snapshot.of_string_r text with
+      | Ok st -> st
+      | Error e ->
+          Alcotest.failf "%s SYNC text unusable: %s" what
+            (Sampling.Io.parse_error_to_string e)
+    in
+    Alcotest.(check string)
+      (what ^ " SYNC text is the loaded store's snapshot")
+      text (Snapshot.to_string st);
+    let d = Daemon.start (Engine.create st) in
+    let rc = connect_exn "reloaded" (Client.connect_tcp ~port:(Daemon.port d) ()) in
+    List.iter2
+      (fun name source ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s: re-PULL %s is the source payload under the \
+                           restore rule" what name)
+          (Merge.payload (restore_rule source))
+          (lines_exn rc ("PULL " ^ name)))
+      names sources;
+    shutdown rc;
+    Daemon.join d
+  in
+  check_source "daemon" b0;
+  check_source "router" c;
+  shutdown c;
+  Daemon.join rd;
+  Router.close router;
+  shutdown b0;
+  Daemon.join backends.(0);
+  let b1 =
+    connect_exn "backend 1" (Client.connect_tcp ~port:(Daemon.port backends.(1)) ())
+  in
+  shutdown b1;
+  Daemon.join backends.(1)
+
 (* ------------------------------------------------------------------ *)
 (* The rebuild law                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -794,6 +902,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_payload_roundtrip;
           Alcotest.test_case "strict parser guards" `Quick
             test_of_lines_guards;
+          Alcotest.test_case "overflowed volume round trips" `Quick
+            test_overflowed_volume_roundtrip;
           Alcotest.test_case "byte mutations never raise" `Quick
             test_payload_mutations;
         ] );
@@ -835,5 +945,7 @@ let () =
             test_e2e_failover_checkpoint;
           Alcotest.test_case "sync checkpoints the wal" `Quick
             test_sync_checkpoints_wal;
+          Alcotest.test_case "sync sections are pull payloads" `Quick
+            test_sync_sections_are_pull_payloads;
         ] );
     ]

@@ -469,7 +469,7 @@ let test_snapshot_guards () =
             x
             :: dup_first_entry
                  (seen_instance
-                 || String.length x >= 9 && String.sub x 0 9 = "instance ")
+                 || String.length x >= 8 && String.sub x 0 8 = "summary ")
                  rest
     in
     String.concat "\n" (dup_first_entry false lines)

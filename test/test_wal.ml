@@ -381,6 +381,67 @@ let test_wal_corrupt_checkpoint_fallback () =
   check_equals_reference ~msg:"checkpoint fallback" r2.Wal.store n_script;
   Wal.close r2.Wal.wal
 
+(* The text an older build wrote: format version 1, [instance]
+   sections of bare "<key> <weight>" lines. *)
+let v1_text st =
+  let c = Store.config st in
+  let insts = Store.instances st in
+  String.concat ""
+    (Printf.sprintf "optsample-snapshot 1 %d %s %h %d %h %d %d\n"
+       c.Store.master
+       (Store.mode_name c.Store.mode)
+       c.Store.default_tau c.Store.default_k c.Store.default_p
+       c.Store.flush_every (List.length insts)
+    :: List.concat_map
+         (fun i ->
+           let s = Store.export_summary i in
+           let ic = s.Store.s_cfg in
+           (Printf.sprintf "instance %s %d %h %d %h\n" s.Store.s_name
+              s.Store.s_id ic.Store.tau ic.Store.k ic.Store.p
+           :: List.map (fun (k, v) -> Printf.sprintf "%d %h\n" k v)
+                s.Store.s_weights)
+           @ [ "end\n" ])
+         insts)
+
+(* A version-1 checkpoint is refused with a structured error naming the
+   format this build reads; recovery quarantines it with that diagnostic
+   and restores the previous generation whole. *)
+let test_v1_checkpoint_quarantined () =
+  with_dir "wal" @@ fun dir ->
+  let r = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  let engine = Engine.create ~wal:r.Wal.wal r.Wal.store in
+  run_ops engine (take 20 script);
+  ignore (get (Wal.checkpoint r.Wal.wal r.Wal.store));
+  run_ops engine (List.filteri (fun i _ -> i >= 20 && i < 40) script);
+  ignore (get (Wal.checkpoint r.Wal.wal r.Wal.store));
+  let old = v1_text r.Wal.store in
+  run_ops engine (List.filteri (fun i _ -> i >= 40) script);
+  Wal.close r.Wal.wal;
+  (match Snapshot.of_string_r old with
+  | exception e ->
+      Alcotest.failf "version 1 text raised %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "version 1 text accepted"
+  | Error e ->
+      Alcotest.(check int) "diagnostic on the header" 1 e.Sampling.Io.line;
+      Alcotest.(check bool) "diagnostic names the readable format" true
+        (contains Snapshot.magic e.Sampling.Io.message));
+  let victim = Filename.concat dir "checkpoint-000002.snap" in
+  get (Durable.write_file_atomic ~site:"test.v1" ~path:victim old);
+  let r2 = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  Alcotest.(check bool) "fell back one generation" true
+    (r2.Wal.checkpoint_epoch = Some 1);
+  (match r2.Wal.skipped_checkpoints with
+  | [ d ] ->
+      Alcotest.(check bool) "quarantine carries the diagnostic" true
+        (contains Snapshot.magic d)
+  | l -> Alcotest.failf "%d checkpoint(s) quarantined, expected 1"
+           (List.length l));
+  Alcotest.(check bool) "quarantine file exists" true
+    (Sys.file_exists (victim ^ ".corrupt"));
+  check_equals_reference ~msg:"version 1 checkpoint skipped" r2.Wal.store
+    n_script;
+  Wal.close r2.Wal.wal
+
 (* ------------------------------------------------------------------ *)
 (* Crash-recovery property suite                                       *)
 (* ------------------------------------------------------------------ *)
@@ -876,12 +937,12 @@ let test_create_out_of_range_k () =
   (* The restore codecs refuse the same parameters with an Error. *)
   let snapshot =
     Printf.sprintf
-      "optsample-snapshot 1 11 independent %h 64 %h 8192 1
-       instance h 0 %h %d %h
-       1 %h
+      "optsample-snapshot 2 11 independent %h 64 %h 8192 1
+       summary h 0 %h %d %h 1 %h
+       w 1 %h
        end
 "
-      60. 0.2 60. max_int 0.2 1.
+      60. 0.2 60. max_int 0.2 1. 1.
   in
   (match Snapshot.of_string_r snapshot with
   | Ok _ -> Alcotest.fail "snapshot with k = max_int accepted"
@@ -962,6 +1023,8 @@ let () =
           Alcotest.test_case "segment rotation" `Quick test_wal_segment_rotation;
           Alcotest.test_case "checkpoint shortens replay and prunes" `Quick
             test_wal_checkpoint;
+          Alcotest.test_case "version 1 checkpoint quarantined" `Quick
+            test_v1_checkpoint_quarantined;
           Alcotest.test_case "torn tail tolerated and truncated" `Quick
             test_wal_torn_tail_tolerated;
           Alcotest.test_case "corrupt checkpoint falls back a generation"

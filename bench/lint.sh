@@ -90,14 +90,14 @@ fi
 
 # Cluster discipline: the router never mutates a store directly — every
 # backend effect travels over the wire protocol (so the daemons stay the
-# single writers of their partitions), and the router's local query
-# stores are built only through Merge.materialize. A direct Store
-# mutation in router.ml would fork cluster state from the daemons that
-# own it.
-router_hits=$(grep -nE 'Store\.(ingest|ingest_many|create_instance|install_summary|flush|check_ingest)' \
+# single writers of their partitions), and the router's resident merged
+# store is built and advanced only through Merge (materialize, install,
+# apply_deltas). A direct Store mutation in router.ml — the delta apply
+# included — would fork cluster state from the daemons that own it.
+router_hits=$(grep -nE 'Store\.(ingest|ingest_many|create_instance|install_summary|apply_delta|flush|check_ingest)' \
     "$root/lib/server/router.ml" 2>/dev/null)
 if [ -n "$router_hits" ]; then
-    echo "lint: direct Store mutation is banned in the router — speak the protocol or Merge.materialize:" >&2
+    echo "lint: direct Store mutation is banned in the router — speak the protocol or go through Merge:" >&2
     echo "$router_hits" >&2
     status=1
 fi

@@ -154,44 +154,101 @@ let request_retry ?(retry = default_retry) ?(sleep = default_sleep) t line =
   go 0
 
 (* Multi-line responses (PULL, SYNC): the header's "lines" field says
-   how many raw payload lines follow. A dropped connection is re-dialed
-   once before reading the header (so a restarted backend is transparent
-   to pull/sync callers, mirroring request_retry's transport recovery);
-   a drop *mid-payload* is an error — there is no way to resume a
-   half-read payload. *)
-let request_lines t line =
-  let header =
-    let attempt () =
-      match t.conn with
-      | Some _ -> request t line
-      | None -> Result.bind (reconnect t) (fun _ -> request t line)
-    in
-    match attempt () with Ok _ as ok -> ok | Error _ -> attempt ()
+   how many raw payload lines follow. *)
+let drop t conn =
+  Protocol.Conn.close conn;
+  t.conn <- None
+
+let read_payload t conn header =
+  let announced =
+    if Protocol.json_ok header then
+      Option.bind (Protocol.json_field "lines" header) int_of_string_opt
+    else None
   in
-  match header with
-  | Error m -> Error m
-  | Ok header -> (
-      let announced =
-        if Protocol.json_ok header then
-          Option.bind (Protocol.json_field "lines" header) int_of_string_opt
-        else None
+  match announced with
+  | None -> Ok (header, [])
+  | Some n ->
+      let rec go i acc =
+        if i = n then Ok (header, List.rev acc)
+        else
+          match Protocol.Conn.input_line_opt conn with
+          | Some l -> go (i + 1) (l :: acc)
+          | None ->
+              drop t conn;
+              Error
+                (Printf.sprintf "connection closed after %d of %d payload lines"
+                   i n)
       in
-      match (announced, t.conn) with
-      | None, _ | Some _, None -> Ok (header, [])
-      | Some n, Some conn ->
-          let rec go i acc =
-            if i = n then Ok (header, List.rev acc)
-            else
-              match Protocol.Conn.input_line_opt conn with
-              | Some l -> go (i + 1) (l :: acc)
-              | None ->
-                  Protocol.Conn.close conn;
-                  t.conn <- None;
-                  Error
-                    (Printf.sprintf
-                       "connection closed after %d of %d payload lines" i n)
-          in
-          go 0 [])
+      go 0 []
+
+(* Pipelining: every request line goes out in one write before any
+   response is read. A drop before the first response header arrives
+   left nothing half-read, so the connection is re-dialed once and the
+   requests resent (a restarted backend is transparent, as with
+   request_retry); a drop after it is an error — there is no way to
+   resume a half-read response. *)
+type pipeline = { p_client : t; p_lines : string list; p_sent : bool }
+
+let write_lines t lines =
+  match t.conn with
+  | None -> false
+  | Some conn -> (
+      match Protocol.Conn.output_line conn (String.concat "\n" lines) with
+      | () -> true
+      | exception Sys_error _ ->
+          drop t conn;
+          false)
+
+let pipeline_send t lines =
+  { p_client = t; p_lines = lines; p_sent = (lines = [] || write_lines t lines) }
+
+let read_responses t n =
+  match t.conn with
+  | None -> `Unread
+  | Some conn ->
+      let rec go i acc =
+        if i = n then `Read (List.rev acc)
+        else
+          match Protocol.Conn.input_line_opt conn with
+          | None ->
+              drop t conn;
+              if i = 0 then `Unread
+              else
+                `Failed
+                  (Printf.sprintf "connection closed after %d of %d responses"
+                     i n)
+          | Some header -> (
+              match read_payload t conn header with
+              | Ok r -> go (i + 1) (r :: acc)
+              | Error m -> `Failed m)
+      in
+      go 0 []
+
+let pipeline_recv { p_client = t; p_lines = lines; p_sent } =
+  let n = List.length lines in
+  let first =
+    if n = 0 then `Read [] else if p_sent then read_responses t n else `Unread
+  in
+  match first with
+  | `Read rs -> Ok rs
+  | `Failed m -> Error m
+  | `Unread -> (
+      match reconnect t with
+      | Error _ as e -> e
+      | Ok _ -> (
+          if not (write_lines t lines) then Error "connection closed"
+          else
+            match read_responses t n with
+            | `Read rs -> Ok rs
+            | `Failed m -> Error m
+            | `Unread -> Error "connection closed"))
+
+let request_lines t line =
+  match pipeline_recv (pipeline_send t [ line ]) with
+  | Ok [ r ] -> Ok r
+  | Ok rs ->
+      Error (Printf.sprintf "%d responses to one request" (List.length rs))
+  | Error _ as e -> e
 
 (* Batched ingest: the whole batch travels as one multi-line payload
    through [request_retry] — [Protocol.Conn.output_line] writes the

@@ -27,6 +27,21 @@ val request_lines : t -> string -> (string * string list, string) result
     request; a drop {e mid-payload} is an [Error] (a half-read payload
     cannot be resumed). *)
 
+(** {2 Pipelining} *)
+
+type pipeline
+
+val pipeline_send : t -> string list -> pipeline
+(** Write the request lines in one write, reading nothing: send to
+    several servers, then {!pipeline_recv} from each, and they all work
+    at once. For requests that may be sent twice (reads such as PULL). *)
+
+val pipeline_recv : pipeline -> ((string * string list) list, string) result
+(** The responses to a {!pipeline_send}, in order, each read like
+    {!request_lines}. A connection that dropped before the first
+    response header arrived is re-dialed once and the lines resent; a
+    drop after it is an [Error]. *)
+
 (** {2 Retry} *)
 
 type retry = {

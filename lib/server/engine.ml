@@ -451,18 +451,34 @@ let handle_request t req =
               | Ok epoch ->
                   (P.ok_fields (base @ [ ("epoch", P.jint epoch) ]), Continue)
               | Error m -> (P.error ~kind:"wal" m, Continue))))
-  | P.Pull name -> (
+  | P.Pull { name; since } -> (
       match Store.find st name with
       | None ->
           (P.error (Printf.sprintf "unknown instance %S" name), Continue)
       | Some inst ->
           Store.flush st;
           let cfg = Store.config st in
-          let lines = Merge.payload (Store.export_summary inst) in
+          let epoch = Store.epoch st in
+          (* A cursor of this store's history gets the keys changed
+             after it; any other (a restart or a restore since) gets
+             everything. *)
+          let since =
+            match since with
+            | Some (e, records) when e = epoch && records <= Store.records inst
+              ->
+                Some records
+            | _ -> None
+          in
+          let lines = Merge.payload (Store.export_summary ?since inst) in
+          let echo =
+            match since with Some r -> [ ("since", P.jint r) ] | None -> []
+          in
           ( P.ok_lines
-              [ ("name", P.jstr name); ("id", P.jint (Store.id inst));
-                ("master", P.jint cfg.Store.master);
-                ("mode", P.jstr (Store.mode_name cfg.Store.mode)) ]
+              ([ ("name", P.jstr name); ("id", P.jint (Store.id inst));
+                 ("master", P.jint cfg.Store.master);
+                 ("mode", P.jstr (Store.mode_name cfg.Store.mode));
+                 ("epoch", P.jint epoch) ]
+              @ echo)
               lines,
             Continue ))
   | P.Sync -> (

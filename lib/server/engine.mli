@@ -109,12 +109,16 @@ val handle_ingest_many : t -> name:string -> (int * float) array -> string
 val handle_request : t -> Protocol.request -> string * action
 (** Execute one request; returns the response and what the session
     should do next ([Close] after QUIT, [Stop] after SHUTDOWN). Most
-    responses are one JSON line; [PULL] answers {!Protocol.ok_lines}
-    with the instance's {!Merge.payload}, and [SYNC] answers the full
-    snapshot text the same way (taking a {!Wal.checkpoint} first when a
-    WAL is attached — the response carries the new [epoch], and the
-    shipped payload {e is} the checkpoint's content, which is how a
-    follower receives checkpoints for failover). *)
+    responses are one JSON line. [PULL] answers {!Protocol.ok_lines}
+    with the instance's {!Merge.payload} and the store's {!Store.epoch}
+    in the header; given a [since=] cursor of this epoch, the payload is
+    that of {!Store.export_summary}[ ~since] and the header echoes the
+    cursor's records as [since]. [SYNC] answers the full snapshot text
+    the same way (taking a {!Wal.checkpoint} first when a WAL is
+    attached — the response then carries the new WAL [epoch], a number
+    unrelated to the store's, and the shipped payload {e is} the
+    checkpoint's content, which is how a follower receives checkpoints
+    for failover). *)
 
 val handle_line : t -> string -> string * action
 (** {!Protocol.parse} + {!handle_request}; malformed requests produce an

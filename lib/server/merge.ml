@@ -74,19 +74,40 @@ let merge_all seeds = function
    It is the one codec for a summary: PULL ships it, and every instance
    section of a snapshot (file, WAL checkpoint, SYNC) is one. *)
 
-let iter_payload f (s : Store.summary) =
+let header_line (s : Store.summary) =
   let cfg = s.Store.s_cfg in
-  f
-    (Printf.sprintf "summary %s %d %h %d %h %d %h" s.Store.s_name s.Store.s_id
-       cfg.Store.tau cfg.Store.k cfg.Store.p s.Store.s_records
-       s.Store.s_volume);
-  List.iter (fun (k, v) -> f (Printf.sprintf "w %d %h" k v)) s.Store.s_weights;
-  f "end"
+  Printf.sprintf "summary %s %d %h %d %h %d %h" s.Store.s_name s.Store.s_id
+    cfg.Store.tau cfg.Store.k cfg.Store.p s.Store.s_records s.Store.s_volume
 
-let payload s =
-  let acc = ref [] in
-  iter_payload (fun l -> acc := l :: !acc) s;
-  List.rev !acc
+(* The per-key line, written without Printf: it is most of every PULL,
+   checkpoint, SNAPSHOT and SYNC. *)
+let add_weight_line buf key v =
+  Buffer.add_string buf "w ";
+  Protocol.add_int buf key;
+  Buffer.add_char buf ' ';
+  Protocol.add_hex buf v
+
+let payload (s : Store.summary) =
+  let buf = Buffer.create 48 in
+  let[@tail_mod_cons] rec lines = function
+    | [] -> [ "end" ]
+    | (k, v) :: rest ->
+        Buffer.clear buf;
+        add_weight_line buf k v;
+        let line = Buffer.contents buf in
+        line :: lines rest
+  in
+  header_line s :: lines s.Store.s_weights
+
+let add_payload buf (s : Store.summary) =
+  Buffer.add_string buf (header_line s);
+  Buffer.add_char buf '\n';
+  List.iter
+    (fun (k, v) ->
+      add_weight_line buf k v;
+      Buffer.add_char buf '\n')
+    s.Store.s_weights;
+  Buffer.add_string buf "end\n"
 
 let ( let* ) = Result.bind
 
@@ -205,3 +226,16 @@ let materialize ?pool cfg summaries =
         | Error m -> Error m)
   in
   go summaries
+
+(* A resident store kept across queries (the router's) is advanced one
+   PULL round at a time: an instance it does not hold yet is installed
+   from the partitions' full payloads, one it holds is advanced by their
+   deltas. Either way the partitions are merged first, so the store sees
+   exactly what [materialize] of the merged full payloads would. *)
+let install st parts =
+  let* s = merge_all (Store.seeds st) parts in
+  Result.map ignore (Store.install_summary st s)
+
+let apply_deltas st parts =
+  let* d = merge_all (Store.seeds st) parts in
+  Result.map ignore (Store.apply_delta st d)

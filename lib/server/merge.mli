@@ -48,9 +48,14 @@ val merge_all :
 val payload : Store.summary -> string list
 (** Serialize; [of_lines (payload s) = Ok s]. *)
 
-val iter_payload : (string -> unit) -> Store.summary -> unit
-(** [List.iter f (payload s)] without building the list: how a snapshot
-    writes a large instance. *)
+val add_payload : Buffer.t -> Store.summary -> unit
+(** Append the {!payload} lines, each newline-terminated: how a
+    snapshot writes a large instance without a list of its lines. *)
+
+val add_weight_line : Buffer.t -> int -> float -> unit
+(** Append one [w <key> <weight>] line (no newline), byte for byte
+    [Printf.sprintf "w %d %h"]: the payload's per-key line, written
+    without Printf. *)
 
 val of_lines : string list -> (Store.summary, string) result
 (** Strict parse: parameters outside {!Store.validate_config}, keys not
@@ -82,3 +87,23 @@ val materialize :
 (** Build a queryable store holding exactly these summaries, each
     installed under its recorded id (so seed recomputation — and hence
     every query answer — matches the exporting daemons bit for bit). *)
+
+(** {2 A resident merged store}
+
+    A store kept across queries, such as the router's, follows the
+    partitions one PULL round at a time. Each function takes the
+    round's payloads for one instance, one per partition, and merges
+    them as {!merge_all} does. *)
+
+val install : Store.t -> Store.summary list -> (unit, string) result
+(** Install the merge of the partitions' full payloads as a new
+    instance: what {!materialize} does for each summary. *)
+
+val apply_deltas : Store.t -> Store.summary list -> (unit, string) result
+(** Advance an instance the store holds by the partitions' delta
+    payloads ([PULL … since=]): each carries its partition's current
+    totals and the keys it changed, and their merge goes through
+    {!Store.apply_delta}. Exact when the partitions are key-disjoint,
+    as the {!Router}'s placement makes them: the merged weight of a key
+    is then its owner's weight. [Error], with nothing changed, when the
+    payloads do not merge or the store refuses the delta. *)

@@ -22,7 +22,7 @@ type request =
   | Snapshot of string
   | Stats
   | Flush
-  | Pull of string
+  | Pull of { name : string; since : (int * int) option }
   | Sync
   | Quit
   | Shutdown
@@ -77,6 +77,24 @@ let parse_int what s =
   | None -> err (Printf.sprintf "bad %s %S (expected an integer)" what s)
 
 let ( let* ) = Result.bind
+
+(* A PULL cursor, [since=<epoch>:<records>]: both non-negative
+   integers, as a PULL response header reports them. *)
+let parse_cursor tok =
+  let bad () =
+    err
+      (Printf.sprintf "bad PULL cursor %S (expected since=<epoch>:<records>)"
+         tok)
+  in
+  match String.split_on_char '=' tok with
+  | [ "since"; cursor ] -> (
+      match String.split_on_char ':' cursor with
+      | [ epoch; records ] -> (
+          match (int_of_string_opt epoch, int_of_string_opt records) with
+          | Some e, Some r when e >= 0 && r >= 0 -> Ok (e, r)
+          | _ -> bad ())
+      | _ -> bad ())
+  | _ -> bad ()
 
 (* CREATE parameters are [key=value] tokens; unknown keys are rejected
    (a typo must not silently fall back to a default). *)
@@ -192,8 +210,13 @@ let parse line =
       | "FLUSH", _ -> err "FLUSH takes no arguments"
       | "PULL", [ name ] ->
           let* name = parse_name "instance name" name in
-          Ok (Pull name)
-      | "PULL", _ -> err "PULL takes exactly one argument: the instance name"
+          Ok (Pull { name; since = None })
+      | "PULL", [ name; cursor ] ->
+          let* name = parse_name "instance name" name in
+          let* since = parse_cursor cursor in
+          Ok (Pull { name; since = Some since })
+      | "PULL", _ ->
+          err "PULL takes: <instance> [since=<epoch>:<records>]"
       | "SYNC", [] -> Ok Sync
       | "SYNC", _ -> err "SYNC takes no arguments"
       | "QUIT", [] -> Ok Quit
@@ -222,6 +245,85 @@ let parse_batch_record ?(line = 0) s =
   | _ -> err "batch record takes: <key> <weight>")
   |> Result.map_error (fun e -> { e with Sampling.Io.line })
 
+(* --- number writers ---
+
+   The per-record and per-key lines (INGESTN bodies, summary payloads)
+   are written straight into a buffer: one [Printf.sprintf] per line
+   cost more than everything else in writing them. Both writers print
+   exactly what [%d] / [%h] print. *)
+
+(* Each writer fills a small local byte string and appends it with one
+   blit. Digits are taken on the non-positive side, where [min_int] has
+   a magnitude; [-4611686018427387904] is the longest at 20 bytes. *)
+let add_int buf n =
+  let b = Bytes.create 20 in
+  let i = ref 20 and m = ref (if n > 0 then -n else n) in
+  if n = 0 then begin
+    decr i;
+    Bytes.unsafe_set b !i '0'
+  end;
+  while !m <> 0 do
+    decr i;
+    Bytes.unsafe_set b !i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  if n < 0 then begin
+    decr i;
+    Bytes.unsafe_set b !i '-'
+  end;
+  Buffer.add_subbytes buf b !i (20 - !i)
+
+let hex_digit d = Char.unsafe_chr (if d < 10 then 48 + d else 87 + d)
+
+(* [%h] of a finite float: [-]0x<lead>[.<fraction>]p<exponent>, the
+   lead digit 1 for normal numbers and 0 for subnormals and zero, the
+   52-bit fraction in hex with its trailing zeros dropped, the exponent
+   in signed decimal; [-0x1.fffffffffffffp-1022] is the longest at 24
+   bytes. Non-finite values go through [%h] itself. *)
+let add_hex buf x =
+  if not (Float.is_finite x) then Buffer.add_string buf (Printf.sprintf "%h" x)
+  else begin
+    let b = Bytes.create 24 in
+    (* The 63-bit [Int64.to_int] drops only the sign bit. *)
+    let bits = Int64.to_int (Int64.bits_of_float x) in
+    let biased = (bits lsr 52) land 0x7ff in
+    let frac = bits land 0xF_FFFF_FFFF_FFFF in
+    let p = if Float.sign_bit x then 1 else 0 in
+    if p = 1 then Bytes.unsafe_set b 0 '-';
+    Bytes.unsafe_set b p '0';
+    Bytes.unsafe_set b (p + 1) 'x';
+    Bytes.unsafe_set b (p + 2) (if biased > 0 then '1' else '0');
+    let p = ref (p + 3) in
+    if frac <> 0 then begin
+      Bytes.unsafe_set b !p '.';
+      let frac = ref frac and nibbles = ref 13 in
+      while !frac land 0xf = 0 do
+        frac := !frac lsr 4;
+        decr nibbles
+      done;
+      for i = !nibbles downto 1 do
+        Bytes.unsafe_set b (!p + i) (hex_digit (!frac land 0xf));
+        frac := !frac lsr 4
+      done;
+      p := !p + !nibbles + 1
+    end;
+    let exp =
+      if biased > 0 then biased - 1023 else if frac = 0 then 0 else -1022
+    in
+    Bytes.unsafe_set b !p 'p';
+    Bytes.unsafe_set b (!p + 1) (if exp < 0 then '-' else '+');
+    let e = ref (abs exp) in
+    let digits =
+      if !e >= 1000 then 4 else if !e >= 100 then 3 else if !e >= 10 then 2
+      else 1
+    in
+    for i = !p + 1 + digits downto !p + 2 do
+      Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!e mod 10)));
+      e := !e / 10
+    done;
+    Buffer.add_subbytes buf b 0 (!p + 2 + digits)
+  end
+
 (* Shared by Client.ingest_many, the CLI coalescer and the bench: the
    whole batch as one multi-line payload (header + body, no trailing
    newline) so a retry resends it atomically over one write. Weights are
@@ -237,7 +339,10 @@ let batch_payload ~name records =
   Buffer.add_string buf (Printf.sprintf "INGESTN %s %d" name n);
   Array.iter
     (fun (key, weight) ->
-      Buffer.add_string buf (Printf.sprintf "\n%d %h" key weight))
+      Buffer.add_char buf '\n';
+      add_int buf key;
+      Buffer.add_char buf ' ';
+      add_hex buf weight)
     records;
   Buffer.contents buf
 

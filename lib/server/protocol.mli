@@ -32,11 +32,18 @@
     - [SNAPSHOT <path>] — persist the full store.
     - [STATS] — per-instance and per-shard counters.
     - [FLUSH] — drain all shard mailboxes now.
-    - [PULL <name>] — export one instance's mergeable summary
-      ({!Merge.payload} lines) for cluster-mode query merging. The
-      response is {e multi-line}: a JSON header whose [lines] field
-      announces how many raw payload lines follow (the response
-      direction's mirror of INGESTN's request framing).
+    - [PULL <name> [since=<epoch>:<records>]] — export one instance's
+      mergeable summary ({!Merge.payload} lines) for cluster-mode query
+      merging. The response is {e multi-line}: a JSON header whose
+      [lines] field announces how many raw payload lines follow (the
+      response direction's mirror of INGESTN's request framing). The
+      header carries the store's [epoch] (not SYNC's WAL epoch), drawn
+      fresh whenever a store is created or restored; the payload header
+      carries the instance's [records]. Together they are a cursor:
+      with [since=] naming the current epoch, the payload holds the
+      current totals but only the [w] lines of keys changed after that
+      [records] count, and the header echoes it as [since]. A cursor
+      from another epoch gets the full payload.
     - [SYNC] — ship the full store as snapshot text (same multi-line
       framing); with a WAL attached the server takes a
       {!Wal.checkpoint} first and reports the new [epoch] — how a
@@ -76,7 +83,9 @@ type request =
   | Snapshot of string
   | Stats
   | Flush
-  | Pull of string  (** export one instance's mergeable summary *)
+  | Pull of { name : string; since : (int * int) option }
+      (** export one instance's mergeable summary; [since] is an
+          [(epoch, records)] cursor asking for the keys changed after it *)
   | Sync  (** checkpoint (when a WAL is attached) and ship the snapshot *)
   | Quit
   | Shutdown
@@ -103,6 +112,13 @@ val parse_batch_record :
     validation (finite, positive weight) as the INGEST tokens. [line]
     (1-based body line index, default 0 = unnumbered) stamps the error,
     so a bad weight inside a batch is diagnosed as ["line <n>: ..."]. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append the decimal digits of an integer, as [%d] prints them. *)
+
+val add_hex : Buffer.t -> float -> unit
+(** Append a float as a lossless hex literal, byte for byte what [%h]
+    prints. *)
 
 val batch_payload : name:string -> (int * float) array -> string
 (** The whole batch as one multi-line request payload (header plus body

@@ -1,28 +1,46 @@
 (* Cluster front door: N daemons each own a hash slice of the key
-   space; this process fans writes to owners and answers queries by
-   pulling per-instance summaries from every daemon and merging them
-   locally (Merge), then running the ordinary Engine over the merged
-   store. Summing per-daemon *estimates* would break bit-identity
-   (float addition order differs per partition count); merging the
-   *summaries* and estimating once reproduces the single-node float
-   walk exactly.
+   space; this process fans writes to owners and answers queries from a
+   resident merged store: the merge (Merge) of every daemon's summary of
+   the instances it has been asked about, kept across requests and run
+   through the ordinary Engine. Summing per-daemon *estimates* would
+   break bit-identity (float addition order differs per partition
+   count); merging the *summaries* and estimating once reproduces the
+   single-node float walk exactly.
+
+   Each read first refreshes the resident store with one round of
+   PULLs, written to every daemon before any reply is read. A daemon
+   the router has followed before is asked only for the keys changed
+   since the cursor of its last reply (PULL … since=<epoch>:<records>),
+   and the delta is applied key by key. Partitions are key-disjoint, so
+   a key's merged weight is its owner's weight; weights only grow, so
+   the samples follow exactly. Anything else — a daemon restarted or
+   restored (a new epoch), a key sent by a daemon that does not own it,
+   a delta the store refuses — rebuilds the resident store from full
+   PULLs, which is the from-scratch merge.
 
    The router never mutates a Store itself — every backend effect
-   travels over the wire protocol (enforced by bench/lint.sh), and the
-   merged query stores are built by Merge.materialize from pulled
-   payloads. *)
+   travels over the wire protocol, and the resident store changes only
+   through Merge (both enforced by bench/lint.sh). *)
 
 module P = Protocol
 
 let ( let* ) = Result.bind
 
+(* Where the resident store stands in one daemon's history of one
+   instance: the store epoch and records count of the last reply
+   applied. *)
+type cursor = { c_epoch : int; c_records : int }
+
 type t = {
   backends : Client.t array;
   retry : Client.retry;
   cfg : Store.config;  (* must match the daemons' master/mode *)
-  seeds : Sampling.Seeds.t;
   pool : Numerics.Pool.t;
-  mutable names : string list;  (* created instances, in creation order *)
+  mutable names : string list;  (* known instances, in creation order *)
+  mutable resident : Store.t;  (* the merged view, kept across requests *)
+  cursors : (string, cursor array) Hashtbl.t;
+      (* per resident instance the router can follow by deltas: one
+         cursor per backend *)
 }
 
 (* Placement: a fixed salt (independent of any store config) hashes the
@@ -35,6 +53,7 @@ let owner ~backends key =
   Int64.to_int (Int64.rem (Int64.shift_right_logical h 1) (Int64.of_int backends))
 
 let backend_count t = Array.length t.backends
+let resident t = t.resident
 
 let close t =
   Array.iter Client.close t.backends;
@@ -101,15 +120,16 @@ let connect ?(retry = Client.default_retry) ~store_cfg addrs =
       match dial [] addrs with
       | Error _ as e -> e
       | Ok backends -> (
+          let pool = Numerics.Pool.create ~domains:1 () in
           let t =
             {
               backends;
               retry;
               cfg;
-              seeds =
-                Sampling.Seeds.create ~master:cfg.Store.master cfg.Store.mode;
-              pool = Numerics.Pool.create ~domains:1 ();
+              pool;
               names = [];
+              resident = Result.get_ok (Merge.materialize ~pool cfg []);
+              cursors = Hashtbl.create 16;
             }
           in
           match
@@ -141,51 +161,172 @@ let fwd_all t line =
   in
   go 0 []
 
-let pull_summary t i ~name =
-  match Client.request_lines t.backends.(i) ("PULL " ^ name) with
-  | Error m -> Error (Printf.sprintf "backend %d: %s" i m)
-  | Ok (header, lines) ->
-      if not (P.json_ok header) then
-        Error
-          (Printf.sprintf "backend %d: %s" i
-             (Option.value ~default:header (P.json_field "error" header)))
-      else
-        let* () =
-          match (P.json_field "master" header, P.json_field "mode" header) with
-          | Some master, Some mode_s ->
-              check_universe t.cfg ~master ~mode_s
-                ~where:(Printf.sprintf "backend %d" i)
-          | _ ->
-              Error
-                (Printf.sprintf "backend %d: PULL header without master/mode" i)
-        in
-        Result.map_error
-          (fun m -> Printf.sprintf "backend %d: bad summary payload: %s" i m)
-          (Merge.of_lines lines)
+(* --- the resident store --- *)
 
-let merged_summary t ~name =
+let pull_line name = function
+  | None -> "PULL " ^ name
+  | Some c -> Printf.sprintf "PULL %s since=%d:%d" name c.c_epoch c.c_records
+
+(* One backend's reply to one PULL: its summary (full, or the keys
+   changed since the cursor sent), the cursor it leaves, and whether it
+   is the delta asked for. *)
+type reply = { summary : Store.summary; cursor : cursor option; delta : bool }
+
+let parse_reply t i ~asked (header, lines) =
+  if not (P.json_ok header) then
+    Error
+      (Printf.sprintf "backend %d: %s" i
+         (Option.value ~default:header (P.json_field "error" header)))
+  else
+    let* () =
+      match (P.json_field "master" header, P.json_field "mode" header) with
+      | Some master, Some mode_s ->
+          check_universe t.cfg ~master ~mode_s
+            ~where:(Printf.sprintf "backend %d" i)
+      | _ ->
+          Error (Printf.sprintf "backend %d: PULL header without master/mode" i)
+    in
+    let* summary =
+      Result.map_error
+        (fun m -> Printf.sprintf "backend %d: bad summary payload: %s" i m)
+        (Merge.of_lines lines)
+    in
+    let field f = Option.bind (P.json_field f header) int_of_string_opt in
+    let epoch = field "epoch" in
+    Ok
+      {
+        summary;
+        cursor =
+          Option.map
+            (fun e -> { c_epoch = e; c_records = summary.Store.s_records })
+            epoch;
+        delta =
+          (match asked with
+          | Some c -> epoch = Some c.c_epoch && field "since" = Some c.c_records
+          | None -> false);
+      }
+
+(* One round of PULLs: every backend gets all of the round's requests
+   before any reply is read, so the daemons export and encode at the
+   same time. [asked name i] is the cursor to send backend [i] for
+   [name]. Every reply is read whatever fails; the first error in
+   (name, backend) order is the round's. *)
+let pull_round t names asked =
   let n = backend_count t in
-  let rec go i acc =
-    if i = n then Merge.merge_all t.seeds (List.rev acc)
-    else
-      match pull_summary t i ~name with
-      | Ok s -> go (i + 1) (s :: acc)
-      | Error _ as e -> e
+  let sent =
+    Array.init n (fun i ->
+        Client.pipeline_send t.backends.(i)
+          (List.map (fun name -> pull_line name (asked name i)) names))
   in
-  go 0 []
-
-let merged_summaries t names =
-  let rec each acc = function
+  let received =
+    Array.map (fun p -> Result.map Array.of_list (Client.pipeline_recv p)) sent
+  in
+  let replies j name =
+    let rec go i acc =
+      if i = n then Ok (Array.of_list (List.rev acc))
+      else
+        let* r =
+          match received.(i) with
+          | Error m -> Error (Printf.sprintf "backend %d: %s" i m)
+          | Ok rs -> parse_reply t i ~asked:(asked name i) rs.(j)
+        in
+        go (i + 1) (r :: acc)
+    in
+    Result.map (fun rs -> (name, rs)) (go 0 [])
+  in
+  let rec each j acc = function
     | [] -> Ok (List.rev acc)
-    | name :: rest -> (
-        match merged_summary t ~name with
-        | Ok s -> each (s :: acc) rest
-        | Error _ as e -> e)
+    | name :: rest ->
+        let* r = replies j name in
+        each (j + 1) (r :: acc) rest
   in
-  each [] names
+  each 0 [] names
 
-let merged_store t names =
-  Result.bind (merged_summaries t names) (Merge.materialize ~pool:t.pool t.cfg)
+let summaries replies = Array.to_list (Array.map (fun r -> r.summary) replies)
+
+(* Whether every key came from its owner. An instance can follow
+   deltas only while this holds: a key two partitions hold was summed by
+   the merge, and a delta would overwrite the sum. *)
+let all_owned t replies =
+  let n = backend_count t in
+  let owned i r =
+    List.for_all
+      (fun (key, _) -> owner ~backends:n key = i)
+      r.summary.Store.s_weights
+  in
+  Array.for_all Fun.id (Array.mapi owned replies)
+
+let follow t name replies ~owned =
+  let cursors = Array.map (fun r -> r.cursor) replies in
+  if owned && Array.for_all Option.is_some cursors then
+    Hashtbl.replace t.cursors name (Array.map Option.get cursors)
+  else Hashtbl.remove t.cursors name
+
+(* Apply one instance's replies to the resident store; [false] when
+   they cannot be applied as they are and the store must be rebuilt. *)
+let advance t (name, replies) =
+  let owned = all_owned t replies in
+  let applied =
+    match Store.find t.resident name with
+    | None when Array.for_all (fun r -> not r.delta) replies ->
+        Result.is_ok (Merge.install t.resident (summaries replies))
+    | Some _ when owned && Array.for_all (fun r -> r.delta) replies ->
+        Result.is_ok (Merge.apply_deltas t.resident (summaries replies))
+    | _ -> false
+  in
+  if applied then follow t name replies ~owned;
+  applied
+
+(* From scratch: full PULLs of [names] into a fresh resident store,
+   which drops every other instance (a later read installs it again).
+   On failure the old store stays, still consistent with its cursors. *)
+let rebuild t names =
+  let* rounds = pull_round t names (fun _ _ -> None) in
+  let* st = Merge.materialize ~pool:t.pool t.cfg [] in
+  let rec install = function
+    | [] -> Ok ()
+    | (_, replies) :: rest ->
+        let* () = Merge.install st (summaries replies) in
+        install rest
+  in
+  let* () = install rounds in
+  t.resident <- st;
+  Hashtbl.reset t.cursors;
+  List.iter
+    (fun (name, replies) ->
+      follow t name replies ~owned:(all_owned t replies))
+    rounds;
+  Ok ()
+
+(* Bring the resident store's [names] up to date with the backends. A
+   name the router had not seen (an instance created on the daemons
+   directly) joins its catalog. *)
+let refresh t names =
+  let names =
+    List.rev
+      (List.fold_left
+         (fun acc n -> if List.mem n acc then acc else n :: acc)
+         [] names)
+  in
+  let asked name i =
+    Option.map (fun cs -> cs.(i)) (Hashtbl.find_opt t.cursors name)
+  in
+  let* rounds = pull_round t names asked in
+  let* () =
+    if List.for_all (advance t) rounds then Ok () else rebuild t names
+  in
+  t.names <- t.names @ List.filter (fun n -> not (List.mem n t.names)) names;
+  Ok ()
+
+(* Every read (QUERY, PULL, SYNC, SNAPSHOT, STATS) is the Engine's
+   answer over the refreshed resident store: what a single node holding
+   the union would answer. *)
+let read t names req =
+  match refresh t names with
+  | Error m -> (P.error m, Engine.Continue)
+  | Ok () ->
+      let response, _ = Engine.handle_request (Engine.create t.resident) req in
+      (response, Engine.Continue)
 
 (* --- request handling --- *)
 
@@ -225,61 +366,9 @@ let on_request t (req : P.request) : string * Engine.action =
              "INGESTN header without its %d body lines (batched framing is \
               connection-level)" count),
         Engine.Continue )
-  | P.Query { kind; names } -> (
-      match merged_store t names with
-      | Error m -> (P.error m, Engine.Continue)
-      | Ok st -> (
-          match Engine.query (Engine.create st) kind names with
-          | Ok response -> (response, Engine.Continue)
-          | Error m ->
-              (* Same structured kind as a single node: a query the
-                 merged store refuses is a client mistake, not a backend
-                 fault. *)
-              (P.error ~kind:"bad_request" m, Engine.Continue)))
-  | P.Pull name -> (
-      (* Merged PULL: what a single node holding the union would answer —
-         lets routers stack and gives operators one-stop summaries. *)
-      match merged_summary t ~name with
-      | Error m -> (P.error m, Engine.Continue)
-      | Ok s ->
-          ( P.ok_lines
-              [ ("name", P.jstr name); ("id", P.jint s.Store.s_id);
-                ("master", P.jint t.cfg.Store.master);
-                ("mode", P.jstr (Store.mode_name t.cfg.Store.mode)) ]
-              (Merge.payload s),
-            Engine.Continue ))
-  | P.Sync -> (
-      (* The merged summaries are written as they are: nothing reads
-         their samples, so no store is materialized. *)
-      match merged_summaries t t.names with
-      | Error m -> (P.error m, Engine.Continue)
-      | Ok ss ->
-          ( P.ok_lines
-              [ ("instances", P.jint (List.length t.names));
-                ("master", P.jint t.cfg.Store.master);
-                ("mode", P.jstr (Store.mode_name t.cfg.Store.mode)) ]
-              (Snapshot.lines t.cfg ss),
-            Engine.Continue ))
-  | P.Snapshot path -> (
-      (* Whole-cluster snapshot, written router-side. *)
-      match merged_summaries t t.names with
-      | Error m -> (P.error m, Engine.Continue)
-      | Ok ss -> (
-          match Snapshot.write_summaries t.cfg ss ~path with
-          | Ok n ->
-              ( P.ok_fields
-                  [ ("path", P.jstr path); ("instances", P.jint n) ],
-                Engine.Continue )
-          | Error m -> (P.error m, Engine.Continue)))
-  | P.Stats -> (
-      (* Merged view: instance counters as a single node holding the
-         union would report them; shard/pending counters describe the
-         router's local merged store (one shard, nothing pending). *)
-      match merged_store t t.names with
-      | Error m -> (P.error m, Engine.Continue)
-      | Ok st ->
-          let response, _ = Engine.handle_request (Engine.create st) P.Stats in
-          (response, Engine.Continue))
+  | P.Query { names; _ } -> read t names req
+  | P.Pull { name; _ } -> read t [ name ] req
+  | P.Sync | P.Snapshot _ | P.Stats -> read t t.names req
   | P.Flush -> (
       match fwd_all t "FLUSH" with
       | Error resp -> (resp, Engine.Continue)

@@ -28,21 +28,16 @@ let lines cfg summaries =
 
 (* The same lines as [lines], written straight into the text so a large
    store's text never also exists as a list of lines. *)
-let render cfg count summaries =
-  let buf = Buffer.create 4096 in
-  let add l =
-    Buffer.add_string buf l;
-    Buffer.add_char buf '\n'
-  in
-  add (header cfg count);
-  Seq.iter (fun s -> Merge.iter_payload add (restore_rule s)) summaries;
-  Buffer.contents buf
-
 let to_string st =
   Store.flush st;
   let insts = Store.instances st in
-  render (Store.config st) (List.length insts)
-    (Seq.map Store.export_summary (List.to_seq insts))
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (header (Store.config st) (List.length insts));
+  Buffer.add_char buf '\n';
+  List.iter
+    (fun i -> Merge.add_payload buf (restore_rule (Store.export_summary i)))
+    insts;
+  Buffer.contents buf
 
 (* Same line discipline as Sampling.Io: number lines before filtering
    comments/blanks, accept CRLF. *)
@@ -151,17 +146,10 @@ let of_string_r ?pool ?shards s =
    fsync + rename — a crash mid-write never damages the previous file)
    and the I/O fault plane applies, so the crash-recovery suite can tear
    snapshot writes too. *)
-let write_text ~path count text =
-  Result.map
-    (fun () -> count)
-    (Durable.write_file_atomic ~site:"snapshot.write" ~path text)
-
 let write st ~path =
-  write_text ~path (List.length (Store.instances st)) (to_string st)
-
-let write_summaries cfg summaries ~path =
-  let count = List.length summaries in
-  write_text ~path count (render cfg count (List.to_seq summaries))
+  Result.map
+    (fun () -> List.length (Store.instances st))
+    (Durable.write_file_atomic ~site:"snapshot.write" ~path (to_string st))
 
 let load ?pool ?shards path =
   match Durable.read_file path with

@@ -35,7 +35,7 @@ val magic : string
 val lines : Store.config -> Store.summary list -> string list
 (** The snapshot text of these summaries, one line per element and no
     newlines: what SYNC ships, for a daemon's own store and for a
-    router's merged summaries alike. *)
+    router's resident merged store alike. *)
 
 val to_string : Store.t -> string
 (** Serialize (flushes the store first): {!lines} of the store's
@@ -57,11 +57,6 @@ val write : Store.t -> path:string -> (int, string) result
     tmp + fsync + rename, so a crash mid-write never damages a previous
     snapshot at the same path); returns the number of instances
     persisted. File system errors come back as [Error]. *)
-
-val write_summaries :
-  Store.config -> Store.summary list -> path:string -> (int, string) result
-(** {!write} for summaries that are not a store's, such as a router's
-    merged ones: the file holds {!lines} of them. *)
 
 val load :
   ?pool:Numerics.Pool.t ->

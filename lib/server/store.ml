@@ -45,11 +45,16 @@ end
 
 module RankSet = Set.Make (Rank_order)
 
+(* A key's accumulated weight and its stamp: the instance's [records]
+   count when the key last changed. All-float, so the record is stored
+   flat: one word per key more than a boxed weight. *)
+type cell = { mutable w : float; mutable stamp : float }
+
 type instance = {
   id : int;
   i_name : string;
   icfg : instance_config;
-  weights : (int, float) Hashtbl.t;
+  weights : (int, cell) Hashtbl.t;
   mutable i_records : int;
   mutable i_volume : float;
   pps_tbl : (int, float) Hashtbl.t;
@@ -68,6 +73,7 @@ type shard = {
 
 type t = {
   cfg : config;
+  t_epoch : int;
   t_seeds : Seeds.t;
   t_pool : Numerics.Pool.t Lazy.t;
   t_shards : shard array;
@@ -76,6 +82,14 @@ type t = {
   mutable n_instances : int;
   mutable pending_since_flush : int;  (* producer-side; see ingest *)
 }
+
+(* Epochs: a random base drawn once per process plus a process-wide
+   counter, so two stores of one process never share an epoch and a
+   restarted process draws a new base. *)
+let epoch_base =
+  Int64.to_int (Random.State.bits64 (Random.State.make_self_init ()))
+
+let epoch_count = Atomic.make 0
 
 let create ?pool cfg =
   if cfg.shards < 1 then
@@ -87,6 +101,7 @@ let create ?pool cfg =
   in
   {
     cfg;
+    t_epoch = (epoch_base + Atomic.fetch_and_add epoch_count 1) land max_int;
     t_seeds = Seeds.create ~master:cfg.master cfg.mode;
     t_pool;
     t_shards =
@@ -99,6 +114,7 @@ let create ?pool cfg =
   }
 
 let config t = t.cfg
+let epoch t = t.t_epoch
 let seeds t = t.t_seeds
 let pool t = Lazy.force t.t_pool
 
@@ -168,15 +184,30 @@ let sample_key seeds inst ~first key v =
   if first && u <= inst.icfg.p then Hashtbl.replace inst.binary_tbl key ();
   bk_update inst ~u key v
 
+(* Key [key] now has weight [v], stamped [stamp]. *)
+let set_weight seeds inst ~stamp key v =
+  match Hashtbl.find inst.weights key with
+  | c ->
+      c.w <- v;
+      c.stamp <- stamp;
+      sample_key seeds inst ~first:false key v
+  | exception Not_found ->
+      Hashtbl.add inst.weights key { w = v; stamp };
+      sample_key seeds inst ~first:true key v
+
 let apply seeds inst key w =
   inst.i_records <- inst.i_records + 1;
   inst.i_volume <- inst.i_volume +. w;
-  let v0 =
-    match Hashtbl.find_opt inst.weights key with Some v -> v | None -> 0.
-  in
-  let v = v0 +. w in
-  Hashtbl.replace inst.weights key v;
-  sample_key seeds inst ~first:(v0 = 0.) key v
+  let stamp = Float.of_int inst.i_records in
+  match Hashtbl.find inst.weights key with
+  | c ->
+      let v = c.w +. w in
+      c.w <- v;
+      c.stamp <- stamp;
+      sample_key seeds inst ~first:false key v
+  | exception Not_found ->
+      Hashtbl.add inst.weights key { w; stamp };
+      sample_key seeds inst ~first:true key w
 
 (* --- sharded ingest --- *)
 
@@ -325,19 +356,24 @@ let records inst = inst.i_records
 let volume inst = inst.i_volume
 let cardinality inst = Hashtbl.length inst.weights
 
-(* Every export below goes through these two helpers: hashtable
+(* Every export below is sorted by [by_key] or [sorted_keys]: hashtable
    iteration order depends on insertion history, so anything emitted to
    a snapshot, a STATS response or a merge payload is sorted first —
    byte-stable regardless of ingestion order (regression-tested by
    diffing snapshots of permuted streams). *)
+let by_key entries =
+  List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) entries
+
 let sorted_entries tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2)
+  by_key (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let sorted_weights inst =
+  by_key (Hashtbl.fold (fun k c acc -> (k, c.w) :: acc) inst.weights [])
 
 let sorted_keys tbl =
   Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort Int.compare
 
-let to_instance inst = Sampling.Instance.of_assoc (sorted_entries inst.weights)
+let to_instance inst = Sampling.Instance.of_assoc (sorted_weights inst)
 
 let pps_sample inst =
   {
@@ -357,7 +393,7 @@ let bottom_k inst =
           let kept, thr = take (n - 1) rest in
           ( {
               Sampling.Bottom_k.key;
-              value = Hashtbl.find inst.weights key;
+              value = (Hashtbl.find inst.weights key).w;
               rank;
             }
             :: kept,
@@ -385,21 +421,33 @@ type summary = {
   s_weights : (int * float) list;
 }
 
-let export_summary inst =
+let export_summary ?since inst =
+  let s_weights =
+    match since with
+    | None -> sorted_weights inst
+    | Some records ->
+        let after = Float.of_int records in
+        by_key
+          (Hashtbl.fold
+             (fun k c acc -> if c.stamp > after then (k, c.w) :: acc else acc)
+             inst.weights [])
+  in
   {
     s_name = inst.i_name;
     s_id = inst.id;
     s_cfg = inst.icfg;
     s_records = inst.i_records;
     s_volume = inst.i_volume;
-    s_weights = sorted_entries inst.weights;
+    s_weights;
   }
 
 (* The summary is installed under its *recorded* id: seed derivation
    and the shard assignment key off [s_id], so a store materialized from
    a subset of another store's instances answers queries with the
    original seeds. The samples are rebuilt from the weights by
-   [sample_key], the code [apply] runs. *)
+   [sample_key], the code [apply] runs; every key is stamped with the
+   summary's [records]. The instance list stays in id order whatever
+   order the summaries come in. *)
 let install_summary t s =
   match check_create t ~name:s.s_name s.s_cfg with
   | Error _ as e -> e
@@ -419,15 +467,64 @@ let install_summary t s =
           bk_rank = Hashtbl.create 256;
         }
       in
+      let stamp = Float.of_int s.s_records in
       List.iter
-        (fun (key, v) ->
-          Hashtbl.replace inst.weights key v;
-          sample_key t.t_seeds inst ~first:true key v)
+        (fun (key, v) -> set_weight t.t_seeds inst ~stamp key v)
         s.s_weights;
       Hashtbl.add t.by_name s.s_name inst;
-      t.rev_instances <- inst :: t.rev_instances;
+      let rec insert = function
+        | i :: rest when i.id > inst.id -> i :: insert rest
+        | l -> inst :: l
+      in
+      t.rev_instances <- insert t.rev_instances;
       t.n_instances <- max t.n_instances (s.s_id + 1);
       Ok inst
+
+(* A delta advances an instance whose weights only grew: each listed
+   key's weight is replaced and its samples re-run through [sample_key]
+   (PPS inclusion is monotone in the weight, binary membership was
+   decided when the key first appeared, and a falling rank keeps the
+   bottom-k working set exact), so the result equals installing the
+   full summary. Everything is checked before anything changes. *)
+let apply_delta t s =
+  match Hashtbl.find_opt t.by_name s.s_name with
+  | None -> Error (Printf.sprintf "unknown instance %S" s.s_name)
+  | Some inst -> (
+      let falls (key, v) =
+        match Hashtbl.find inst.weights key with
+        | c -> v < c.w
+        | exception Not_found -> false
+      in
+      if inst.id <> s.s_id then
+        Error
+          (Printf.sprintf "instance %S has id %d, the delta %d" s.s_name
+             inst.id s.s_id)
+      else if
+        not
+          (Float.equal inst.icfg.tau s.s_cfg.tau
+          && inst.icfg.k = s.s_cfg.k
+          && Float.equal inst.icfg.p s.s_cfg.p)
+      then
+        Error
+          (Printf.sprintf "instance %S: the delta has other tau/k/p" s.s_name)
+      else if s.s_records < inst.i_records then
+        Error
+          (Printf.sprintf "instance %S: records fall from %d to %d" s.s_name
+             inst.i_records s.s_records)
+      else
+        match List.find_opt falls s.s_weights with
+        | Some (key, v) ->
+            Error
+              (Printf.sprintf "instance %S: the weight of key %d falls to %h"
+                 s.s_name key v)
+        | None ->
+            inst.i_records <- s.s_records;
+            inst.i_volume <- s.s_volume;
+            let stamp = Float.of_int s.s_records in
+            List.iter
+              (fun (key, v) -> set_weight t.t_seeds inst ~stamp key v)
+              s.s_weights;
+            Ok inst)
 
 (* A new instance is the empty summary at the next id. *)
 let create_instance t ~name ?tau ?k ?p () =

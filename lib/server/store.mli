@@ -74,6 +74,14 @@ val create : ?pool:Numerics.Pool.t -> config -> t
     [config.shards] domains. *)
 
 val config : t -> config
+
+val epoch : t -> int
+(** A non-negative number drawn when the store is created (a restore
+    creates one too): two stores of one process never share it, and a
+    restarted process draws a new one. With an instance's {!records} it
+    names a point in that instance's history — the cursor of
+    [PULL … since=], see {!export_summary}. *)
+
 val seeds : t -> Sampling.Seeds.t
 val pool : t -> Numerics.Pool.t
 
@@ -103,7 +111,8 @@ val create_instance :
 
 val find : t -> string -> instance option
 val instances : t -> instance list
-(** All instances in creation (= id) order. *)
+(** All instances in id order (for a store built by CREATE, the
+    creation order). *)
 
 type ingest_error =
   | Overloaded of { depth : int; limit : int }
@@ -157,7 +166,9 @@ val id : instance -> int
 val name : instance -> string
 val instance_config : instance -> instance_config
 val records : instance -> int
-(** Records applied so far. *)
+(** Records applied so far. Every applied record stamps its key with
+    the new count, so the count doubles as a cursor: the keys changed
+    after a point are the keys stamped above its count. *)
 
 val volume : instance -> float
 (** Sum of all applied weights. *)
@@ -197,8 +208,11 @@ type summary = {
   s_weights : (int * float) list;  (** accumulated weights, ascending key *)
 }
 
-val export_summary : instance -> summary
-(** Export counters and weights (flush the store first). *)
+val export_summary : ?since:int -> instance -> summary
+(** Export counters and weights (flush the store first). With
+    [~since:records], only the keys stamped above that count — the keys
+    changed after the instance had applied [records] records — with
+    the counters still the current totals. *)
 
 val install_summary : t -> summary -> (instance, string) result
 (** Register an instance with the summary's counters and weights, under
@@ -207,7 +221,21 @@ val install_summary : t -> summary -> (instance, string) result
     weights by the per-key code ingestion runs, so they equal the
     exporting instance's samples and the materialized store answers
     queries bit-identically. The weights must be positive with distinct
-    keys. [Error] when {!check_create} fails or the id is negative. *)
+    keys. Every key is stamped with the summary's records. The
+    instance takes its place in {!instances} by id. [Error] when
+    {!check_create} fails or the id is negative. *)
+
+val apply_delta : t -> summary -> (instance, string) result
+(** Advance the instance named by a summary to it, key by key: the
+    counters become the summary's, and each listed key's weight is
+    replaced, stamped with the summary's records and fed through the
+    per-key sample code again. For a summary that lists every key whose
+    weight changed, the result equals {!install_summary} of the full
+    summary, because weights only grow: PPS inclusion is monotone in the
+    weight, binary membership is decided on the key's first appearance,
+    and a key's bottom-k rank only falls. [Error], with nothing changed,
+    when there is no such instance, the id or [tau]/[k]/[p] differ, or
+    the records or a listed weight fall. *)
 
 (** {2 Shard introspection (STATS)} *)
 

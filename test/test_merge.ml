@@ -150,6 +150,59 @@ let test_of_lines_guards () =
           List.filter (fun l -> l <> "end") (ws @ rest) @ [ w; "end" ]
       | [], _ -> [ "not a payload" ])
 
+(* The per-key line is written without Printf; it must print what
+   [Printf.sprintf "w %d %h"] prints, for every finite float (and falls
+   back to [%h] for the rest). Seeded random bit patterns cover every
+   exponent and sign; the listed edges cover the cases a hand-rolled
+   writer gets wrong: subnormals (lead digit 0, exponent -1022), zero,
+   the extremes, powers of two (no fraction) and an all-ones fraction. *)
+let test_weight_line_matches_printf () =
+  let buf = Buffer.create 64 in
+  let check key v =
+    Buffer.clear buf;
+    Merge.add_weight_line buf key v;
+    let want = Printf.sprintf "w %d %h" key v in
+    if Buffer.contents buf <> want then
+      Alcotest.failf "weight line %S, Printf %S (bits %Lx)"
+        (Buffer.contents buf) want (Int64.bits_of_float v)
+  in
+  let rng = Numerics.Prng.create ~seed:131 () in
+  let random_key () = Int64.to_int (Numerics.Prng.bits64 rng) in
+  for _ = 1 to 100_000 do
+    check (random_key ()) (Int64.float_of_bits (Numerics.Prng.bits64 rng))
+  done;
+  (* Subnormals: random fractions under a zero exponent, both signs. *)
+  for _ = 1 to 10_000 do
+    let frac = Int64.logand (Numerics.Prng.bits64 rng) 0xF_FFFF_FFFF_FFFFL in
+    let v = Int64.float_of_bits frac in
+    check (random_key ()) v;
+    check (random_key ()) (-.v)
+  done;
+  for e = -1074 to 1023 do
+    check e (Float.ldexp 1. e);
+    check (-e) (Float.ldexp (-1.) e)
+  done;
+  List.iter
+    (fun v -> List.iter (fun key -> check key v) [ 0; 1; -1; max_int; min_int ])
+    [ Float.min_float; Float.max_float; Float.pred 1.; Float.succ 1.;
+      Int64.float_of_bits 1L; Int64.float_of_bits 0xF_FFFF_FFFF_FFFFL;
+      Float.pred Float.min_float; 0.; -0.; 1.; 0.1; 1e308; infinity;
+      neg_infinity; nan ];
+  (* The INGESTN body uses the same writers. *)
+  let records =
+    Array.init 500 (fun _ ->
+        ( random_key (),
+          Float.abs (Int64.float_of_bits (Numerics.Prng.bits64 rng)) ))
+  in
+  let want =
+    String.concat ""
+      (Printf.sprintf "INGESTN h %d" (Array.length records)
+      :: Array.to_list
+           (Array.map (fun (k, w) -> Printf.sprintf "\n%d %h" k w) records))
+  in
+  Alcotest.(check string) "batch payload equals its Printf rendering" want
+    (P.batch_payload ~name:"h" records)
+
 (* ------------------------------------------------------------------ *)
 (* The algebra                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -687,6 +740,107 @@ let test_sync_sections_are_pull_payloads () =
   shutdown b1;
   Daemon.join backends.(1)
 
+(* PULL cursors. [since=<epoch>:<records>] parses strictly; a
+   malformed one is a bad_request the session survives. The store's
+   own epoch gets the keys changed after the records count with the
+   current totals; any other epoch gets the full payload and the
+   current epoch. *)
+let header_int header field =
+  match Option.bind (P.json_field field header) int_of_string_opt with
+  | Some v -> v
+  | None -> Alcotest.failf "header %s has no integer %s" header field
+
+let pull_exn c line =
+  match Client.request_lines c line with
+  | Ok (header, lines) ->
+      if not (P.json_ok header) then Alcotest.failf "%s answered %s" line header;
+      (header, lines)
+  | Error m -> Alcotest.failf "%s: %s" line m
+
+let test_pull_cursors () =
+  (match P.parse "PULL a since=5:7" with
+  | Ok (P.Pull { name = "a"; since = Some (5, 7) }) -> ()
+  | _ -> Alcotest.fail "PULL a since=5:7 misparsed");
+  (match P.parse "PULL a" with
+  | Ok (P.Pull { name = "a"; since = None }) -> ()
+  | _ -> Alcotest.fail "PULL a misparsed");
+  let malformed =
+    [ "PULL a since="; "PULL a since=1"; "PULL a since=x:1";
+      "PULL a since=1:y"; "PULL a since=1:-2"; "PULL a since=-1:2";
+      "PULL a since=1:2:3"; "PULL a until=1:2"; "PULL a since=1:2 3";
+      "PULL a 1:2" ]
+  in
+  List.iter
+    (fun line ->
+      match P.parse line with
+      | Ok _ -> Alcotest.failf "%S parsed" line
+      | Error _ -> ())
+    malformed;
+  let daemon = Daemon.start (Engine.create (Store.create (cfg ()))) in
+  let c =
+    connect_exn "daemon" (Client.connect_tcp ~port:(Daemon.port daemon) ())
+  in
+  ignore (ok_exn c (create_line "a"));
+  feed c "a" (records ~seed:111 400);
+  List.iter
+    (fun line ->
+      match Client.request c line with
+      | Ok resp ->
+          Alcotest.(check (option string))
+            (line ^ " is a bad_request") (Some "bad_request")
+            (P.json_field "kind" resp)
+      | Error m -> Alcotest.failf "%s dropped the session: %s" line m)
+    malformed;
+  let header, full = pull_exn c "PULL a" in
+  let epoch = header_int header "epoch" in
+  let count =
+    match Merge.of_lines full with
+    | Ok s -> s.Store.s_records
+    | Error m -> Alcotest.failf "full payload: %s" m
+  in
+  Alcotest.(check bool) "a full reply echoes no cursor" true
+    (P.json_field "since" header = None);
+  let stale_header, stale =
+    pull_exn c (Printf.sprintf "PULL a since=%d:%d" (epoch + 1) count)
+  in
+  Alcotest.(check (list string)) "an unknown epoch gets the full payload"
+    full stale;
+  Alcotest.(check int) "and the current epoch" epoch
+    (header_int stale_header "epoch");
+  Alcotest.(check bool) "and no cursor echo" true
+    (P.json_field "since" stale_header = None);
+  let cursor = Printf.sprintf "PULL a since=%d:%d" epoch count in
+  let quiet_header, quiet = pull_exn c cursor in
+  Alcotest.(check int) "a current cursor is echoed" count
+    (header_int quiet_header "since");
+  Alcotest.(check int) "nothing changed: header and end only" 2
+    (List.length quiet);
+  let more = records ~seed:112 50 in
+  feed c "a" more;
+  let delta_header, delta = pull_exn c cursor in
+  Alcotest.(check int) "the delta's epoch" epoch
+    (header_int delta_header "epoch");
+  let _, now = pull_exn c "PULL a" in
+  match (Merge.of_lines delta, Merge.of_lines now) with
+  | Ok d, Ok s ->
+      let changed =
+        List.sort_uniq Int.compare (Array.to_list (Array.map fst more))
+      in
+      Alcotest.(check (list int)) "the delta lists exactly the changed keys"
+        changed (List.map fst d.Store.s_weights);
+      Alcotest.(check bool) "with their current weights" true
+        (List.for_all
+           (fun (k, v) -> Float.equal v (List.assoc k s.Store.s_weights))
+           d.Store.s_weights);
+      Alcotest.(check int) "and the current records" s.Store.s_records
+        d.Store.s_records;
+      Alcotest.(check bool) "and the current volume" true
+        (Float.equal s.Store.s_volume d.Store.s_volume);
+      ignore (ok_exn c "SHUTDOWN");
+      Client.close c;
+      Daemon.join daemon
+  | Error m, _ | _, Error m -> Alcotest.failf "payload: %s" m
+
 (* ------------------------------------------------------------------ *)
 (* The rebuild law                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -830,6 +984,237 @@ let test_snapshot_restore_rule () =
         (Store.instances st) (Store.instances st2)
 
 (* ------------------------------------------------------------------ *)
+(* The resident store under interleaving                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Ingests through the router, queries, STATS and router PULLs, mixed
+   with the events that change what the router follows: a failover
+   onto a Snapshot.of_string_r restore at the dead daemon's address (a
+   new backend epoch) and a router restart. The router runs on this
+   domain, its handlers called directly, so its resident store can be
+   read between requests. After every query the resident store's
+   summaries and samples must equal Merge.materialize of full PULLs,
+   and the answer must be byte-identical to a single node's. The
+   resident store's epoch shows which path ran: deltas advance the
+   store in place, and only the failover rebuilds it. *)
+let test_interleaved_deltas () =
+  let paths = [| sock_path 10; sock_path 11 |] in
+  Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
+  let doms =
+    Array.map
+      (fun path ->
+        spawn_unix_daemon ~path (Engine.create (Store.create (cfg ()))))
+      paths
+  in
+  let clients =
+    Array.mapi
+      (fun i path ->
+        connect_exn (Printf.sprintf "backend %d" i) (Client.connect_unix ~path))
+      paths
+  in
+  let connect () =
+    match
+      Router.connect ~store_cfg:(cfg ())
+        (Array.to_list (Array.map (fun p -> Unix.ADDR_UNIX p) paths))
+    with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "router connect: %s" m
+  in
+  let router = ref (connect ()) in
+  let handlers () = Router.handlers !router in
+  let route line =
+    match P.parse line with
+    | Ok req -> fst ((handlers ()).Daemon.on_request req)
+    | Error e ->
+        Alcotest.failf "%S: %s" line (Sampling.Io.parse_error_to_string e)
+  in
+  let route_lines line =
+    match String.split_on_char '\n' (route line) with
+    | header :: lines when P.json_ok header -> (header, lines)
+    | _ -> Alcotest.failf "router %s failed" line
+  in
+  let single = Engine.create (Store.create (cfg ())) in
+  let reference line = fst (Engine.handle_line single line) in
+  let both line =
+    Alcotest.(check string) ("router answers " ^ line) (reference line)
+      (route line)
+  in
+  let names = [ "a"; "b" ] in
+  List.iter (fun name -> both (create_line name)) names;
+  let epoch_of i = header_int (fst (pull_exn clients.(i) "PULL a")) "epoch" in
+  Alcotest.(check bool) "two daemons of one process draw different epochs"
+    true
+    (epoch_of 0 <> epoch_of 1);
+  (* The from-scratch merge: full PULLs of every instance, materialized. *)
+  let scratch () =
+    let merged name =
+      match Array.to_list (Array.map (fun c -> pulled c name) clients) with
+      | first :: rest -> List.fold_left merge_exn first rest
+      | [] -> Alcotest.fail "no backends"
+    in
+    match Merge.materialize (cfg ()) (List.map merged names) with
+    | Ok st -> st
+    | Error m -> Alcotest.failf "materialize: %s" m
+  in
+  let check_resident what =
+    let fresh = scratch () in
+    let held = Store.instances (Router.resident !router) in
+    Alcotest.(check (list string))
+      (what ^ ": the resident store holds the instances read")
+      names (List.map Store.name held);
+    List.iter
+      (fun inst ->
+        let name = Store.name inst in
+        let want = Option.get (Store.find fresh name) in
+        check_payload
+          (Printf.sprintf "%s: resident %s equals a full PULL" what name)
+          (Store.export_summary want) (Store.export_summary inst);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: resident %s samples equal a full PULL's" what
+             name)
+          true
+          (samples_of want = samples_of inst))
+      held;
+    fresh
+  in
+  let stats_instances response =
+    match String.index_opt response '[' with
+    | None -> Alcotest.failf "STATS answered %s" response
+    | Some i -> (
+        let tail = String.sub response i (String.length response - i) in
+        match Str.search_forward (Str.regexp_string ",\"shards\"") tail 0 with
+        | j -> String.sub tail 0 j
+        | exception Not_found -> Alcotest.failf "STATS answered %s" response)
+  in
+  let streams = [ ("a", records ~seed:121 2400); ("b", records ~seed:122 2400) ] in
+  let batch = 100 in
+  let failed_over = ref false in
+  let last_epoch = ref (Store.epoch (Router.resident !router)) in
+  let router_cursor = ref None in
+  let router_deltas = ref 0 in
+  for step = 0 to 23 do
+    let event =
+      match step with
+      | 8 ->
+          (* Fail backend 0 over onto a restore of its SYNC text. *)
+          let before = epoch_of 0 in
+          let shipped = String.concat "\n" (lines_exn clients.(0) "SYNC") ^ "\n" in
+          ignore (ok_exn clients.(0) "SHUTDOWN");
+          Domain.join doms.(0);
+          (match Snapshot.of_string_r shipped with
+          | Ok st ->
+              doms.(0) <- spawn_unix_daemon ~path:paths.(0) (Engine.create st)
+          | Error e ->
+              Alcotest.failf "shipped checkpoint unusable: %s"
+                (Sampling.Io.parse_error_to_string e));
+          Alcotest.(check bool)
+            "a restored successor at the same address draws a new epoch" true
+            (epoch_of 0 <> before);
+          failed_over := true;
+          `Rebuild
+      | 16 ->
+          Router.close !router;
+          router := connect ();
+          router_cursor := None;
+          `Restart
+      | 20 ->
+          (* A record sent to a daemon that does not own its key, for a
+             key its owner holds too: the merge sums the two, so from
+             here on "b" cannot follow deltas and every read rebuilds. *)
+          let key =
+            Array.to_list (Array.map fst (List.assoc "b" streams))
+            |> List.find (fun key -> Router.owner ~backends:2 key = 0)
+          in
+          let line = Printf.sprintf "INGEST b %d 0x1p-2" key in
+          ignore (ok_exn clients.(1) line);
+          ignore (reference line);
+          `Rebuild
+      | _ when step > 20 -> `Rebuild
+      | _ -> `None
+    in
+    List.iter
+      (fun (name, rs) ->
+        let slice = Array.sub rs (step * batch) batch in
+        Array.iter
+          (fun (key, w) -> both (Printf.sprintf "INGEST %s %d %h" name key w))
+          (Array.sub slice 0 5);
+        let rest = Array.sub slice 5 (batch - 5) in
+        Alcotest.(check string) "batch through the router"
+          (Engine.handle_ingest_many single ~name rest)
+          ((handlers ()).Daemon.on_batch ~name rest))
+      streams;
+    let what = Printf.sprintf "step %d" step in
+    let kind = List.nth default_kinds (step mod 4) in
+    let query = Printf.sprintf "QUERY %s a b" kind in
+    (* A restored partition follows the snapshot restore rule (records
+       = key count), so only the query answers, which do not read the
+       counters, stay comparable with the single node after it. *)
+    both query;
+    let fresh = check_resident what in
+    let epoch = Store.epoch (Router.resident !router) in
+    (match event with
+    | `None ->
+        Alcotest.(check int) (what ^ ": deltas advance the store in place")
+          !last_epoch epoch
+    | `Rebuild ->
+        Alcotest.(check bool) (what ^ ": a new backend epoch rebuilds") true
+          (epoch <> !last_epoch)
+    | `Restart -> ());
+    last_epoch := epoch;
+    if step mod 3 = 1 then begin
+      let stats = route "STATS" in
+      Alcotest.(check string) (what ^ ": STATS equals the from-scratch STATS")
+        (fst (Engine.handle_request (Engine.create fresh) P.Stats))
+        stats;
+      if not !failed_over then
+        Alcotest.(check string) (what ^ ": STATS instances equal a single node's")
+          (stats_instances (reference "STATS"))
+          (stats_instances stats)
+    end;
+    (* The router serves cursors too: a delta from its resident store
+       carries what changed since the router's own earlier PULL. *)
+    if step mod 4 = 2 then begin
+      let header, lines = route_lines "PULL a" in
+      (match !router_cursor with
+      | Some (epoch, base, previous) ->
+          let dheader, dlines =
+            route_lines
+              (Printf.sprintf "PULL a since=%d:%d" epoch base.Store.s_records)
+          in
+          (* The router's own epoch changes when it rebuilds; within
+             one, its cursor gets a delta. *)
+          Alcotest.(check bool) (what ^ ": a router cursor is honoured in its epoch")
+            (header_int header "epoch" = epoch)
+            (P.json_field "since" dheader <> None);
+          if P.json_field "since" dheader <> None then begin
+            incr router_deltas;
+            let delta = Result.get_ok (Merge.of_lines dlines) in
+            let st = Result.get_ok (Merge.materialize (cfg ()) [ previous ]) in
+            (match Merge.apply_deltas st [ delta ] with
+            | Ok () -> ()
+            | Error m -> Alcotest.failf "%s: router delta refused: %s" what m);
+            Alcotest.(check (list string))
+              (what ^ ": the router's delta brings its last PULL up to date")
+              lines
+              (Merge.payload (Store.export_summary (Option.get (Store.find st "a"))))
+          end
+      | None -> ());
+      let s = Result.get_ok (Merge.of_lines lines) in
+      router_cursor := Some (header_int header "epoch", s, s)
+    end
+  done;
+  Alcotest.(check bool) "the router served delta PULLs" true
+    (!router_deltas > 0);
+  Router.close !router;
+  Array.iteri
+    (fun i c ->
+      ignore (ok_exn c "SHUTDOWN");
+      Client.close c;
+      Domain.join doms.(i))
+    clients;
+  Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths
+
+(* ------------------------------------------------------------------ *)
 (* Codec robustness: seeded byte mutations                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -852,25 +1237,44 @@ let mutants ~seed ~n good =
           String.sub good 0 i ^ String.make 1 (byte ())
           ^ String.sub good i (len - i))
 
+(* Mutants of a full payload are materialized; mutants of a delta
+   payload (PULL … since=) are applied to the store the delta follows. *)
 let test_payload_mutations () =
   let st = store_of [ ("a", records ~seed:101 300) ] in
-  let good = String.concat "\n" (Merge.payload (export st "a")) in
-  let accepted = ref 0 in
-  List.iter
-    (fun m ->
-      match Merge.of_lines (String.split_on_char '\n' m) with
-      | exception e ->
-          Alcotest.failf "of_lines raised %s on %S" (Printexc.to_string e) m
-      | Error _ -> ()
-      | Ok s -> (
-          incr accepted;
-          match Merge.materialize (cfg ()) [ s ] with
-          | exception e ->
-              Alcotest.failf "materialize raised %s on %S"
-                (Printexc.to_string e) m
-          | Ok _ | Error _ -> ()))
-    (mutants ~seed:102 ~n:3000 good);
-  Alcotest.(check bool) "some mutants still parse" true (!accepted > 0)
+  let full = export st "a" in
+  let inst = Option.get (Store.find st "a") in
+  let since = Store.records inst in
+  ingest_all st "a" (records ~seed:106 60);
+  Store.flush st;
+  let delta = Store.export_summary ~since inst in
+  Alcotest.(check bool) "the delta holds some keys, not all" true
+    (delta.Store.s_weights <> []
+    && List.length delta.Store.s_weights < Store.cardinality inst);
+  let run what ~seed good apply =
+    let accepted = ref 0 in
+    List.iter
+      (fun m ->
+        match Merge.of_lines (String.split_on_char '\n' m) with
+        | exception e ->
+            Alcotest.failf "of_lines raised %s on %s mutant %S"
+              (Printexc.to_string e) what m
+        | Error _ -> ()
+        | Ok s -> (
+            incr accepted;
+            match apply s with
+            | exception e ->
+                Alcotest.failf "applying a %s mutant raised %s on %S" what
+                  (Printexc.to_string e) m
+            | Ok () | Error _ -> ()))
+      (mutants ~seed ~n:3000 (String.concat "\n" (Merge.payload good)));
+    Alcotest.(check bool) ("some " ^ what ^ " mutants still parse") true
+      (!accepted > 0)
+  in
+  run "full" ~seed:102 full (fun s ->
+      Result.map ignore (Merge.materialize (cfg ()) [ s ]));
+  run "delta" ~seed:107 delta (fun s ->
+      Result.bind (Merge.materialize (cfg ()) [ full ]) (fun base ->
+          Merge.apply_deltas base [ s ]))
 
 let test_snapshot_mutations () =
   let st =
@@ -906,6 +1310,8 @@ let () =
             test_overflowed_volume_roundtrip;
           Alcotest.test_case "byte mutations never raise" `Quick
             test_payload_mutations;
+          Alcotest.test_case "weight lines equal Printf" `Quick
+            test_weight_line_matches_printf;
         ] );
       ( "rebuild",
         [
@@ -947,5 +1353,8 @@ let () =
             test_sync_checkpoints_wal;
           Alcotest.test_case "sync sections are pull payloads" `Quick
             test_sync_sections_are_pull_payloads;
+          Alcotest.test_case "pull cursors" `Quick test_pull_cursors;
+          Alcotest.test_case "resident store under interleaving" `Slow
+            test_interleaved_deltas;
         ] );
     ]

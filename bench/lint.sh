@@ -159,6 +159,18 @@ if [ -n "$oracle_hits" ]; then
     status=1
 fi
 
+# Query-path discipline: every QUERY row walks the store's resident
+# key-sorted sample columns (Store.pps_column / binary_column) once.
+# A sort, a key set or a list copy of a sample in the engine would put
+# per-query O(n log n) work back in front of that walk.
+sort_hits=$(grep -nE 'List\.(stable_)?sort|ISet\.of_list|Store\.(pps_sample|binary_sample)' \
+    "$root/lib/server/engine.ml" 2>/dev/null)
+if [ -n "$sort_hits" ]; then
+    echo "lint: per-query sorts, key sets and list samples are banned in lib/server/engine.ml — walk the resident columns:" >&2
+    echo "$sort_hits" >&2
+    status=1
+fi
+
 # Hot-path discipline: the per-key evaluator modules must stay off the
 # polymorphic runtime. `Stdlib.compare`/bare `compare` walks tags and
 # boxes floats; `Hashtbl.hash` hashes structure (and is why derivation

@@ -1,28 +1,45 @@
 type classes = { f1q : int; fq1 : int; f11 : int; f10 : int; f01 : int }
 
-module ISet = Set.Make (Int)
+module EB = Estcore.Evalbuf
+
+(* The serving walk of a pair of binary samples: per union key the two
+   seeds are stored into [u] from per-query salts, the key is counted
+   in its class and, given a table, its OR^(L) cell is added. *)
+let classify_columns ?table seeds ~ids:(id1, id2) ~p1 ~p2 c1 c2 ~select =
+  let salts = Column.salts seeds ~ids:[| id1; id2 |] in
+  let u = Float.Array.make 2 0. in
+  let acc = Float.Array.make 1 0. in
+  let f1q = ref 0 and fq1 = ref 0 and f11 = ref 0 and f10 = ref 0 in
+  let f01 = ref 0 in
+  let w = Column.walk [| c1; c2 |] in
+  while Column.more w do
+    let h = Column.next w in
+    if select h then begin
+      let in1 = Column.hit w 0 >= 0 and in2 = Column.hit w 1 >= 0 in
+      Column.seeds_into salts h u;
+      let below1 = Float.Array.get u 0 <= p1 in
+      let below2 = Float.Array.get u 1 <= p2 in
+      if in1 && in2 then incr f11
+      else if in1 then if below2 then incr f10 else incr f1q
+      else if below1 then incr f01
+      else incr fq1;
+      match table with
+      | Some t ->
+          Estcore.Or_weighted.Table.add_into t
+            ~code:
+              (Estcore.Or_weighted.Table.code ~b0:below1 ~b1:below2 ~s0:in1
+                 ~s1:in2)
+            acc
+      | None -> ()
+    end
+  done;
+  ( { f1q = !f1q; fq1 = !fq1; f11 = !f11; f10 = !f10; f01 = !f01 },
+    Float.Array.get acc 0 )
 
 let classify ?(ids = (0, 1)) seeds ~p1 ~p2 ~s1 ~s2 ~select =
-  let id1, id2 = ids in
-  let set1 = ISet.of_list s1 and set2 = ISet.of_list s2 in
-  let acc = ref { f1q = 0; fq1 = 0; f11 = 0; f10 = 0; f01 = 0 } in
-  ISet.iter
-    (fun h ->
-      if select h then begin
-        let in1 = ISet.mem h set1 and in2 = ISet.mem h set2 in
-        let u1 = Sampling.Seeds.seed seeds ~instance:id1 ~key:h in
-        let u2 = Sampling.Seeds.seed seeds ~instance:id2 ~key:h in
-        let c = !acc in
-        acc :=
-          (if in1 && in2 then { c with f11 = c.f11 + 1 }
-           else if in1 then
-             if u2 <= p2 then { c with f10 = c.f10 + 1 }
-             else { c with f1q = c.f1q + 1 }
-           else if u1 <= p1 then { c with f01 = c.f01 + 1 }
-           else { c with fq1 = c.fq1 + 1 })
-      end)
-    (ISet.union set1 set2);
-  !acc
+  fst
+    (classify_columns seeds ~ids ~p1 ~p2 (Column.of_keys s1)
+       (Column.of_keys s2) ~select)
 
 let sample_binary seeds ~p ~instance inst =
   Sampling.Instance.fold
@@ -80,13 +97,16 @@ let var_l ~d ~jaccard ~p1 ~p2 =
   let v10 = Estcore.Or_oblivious.var_l_10 ~p1 ~p2 in
   d *. ((jaccard *. v11) +. ((1. -. jaccard) *. v10))
 
+let coordinated_columns ~p cols ~select =
+  let n = ref 0 in
+  let w = Column.walk cols in
+  while Column.more w do
+    if select (Column.next w) then incr n
+  done;
+  float_of_int !n /. p
+
 let coordinated_estimate ~p ~samples ~select =
-  let u =
-    Array.fold_left
-      (fun u s -> ISet.union u (ISet.of_list s))
-      ISet.empty samples
-  in
-  float_of_int (ISet.cardinal (ISet.filter select u)) /. p
+  coordinated_columns ~p (Array.map Column.of_keys samples) ~select
 
 let var_coordinated ~d ~p = d *. ((1. /. p) -. 1.)
 
@@ -103,43 +123,54 @@ module Multi = struct
   let create ~probs =
     { probs; general = Estcore.Max_oblivious.General.create ~probs }
 
-  (* Per-key outcome through the Section 5 mapping: entry i is
-     "obliviously sampled" iff u_i ≤ p_i, with value 1 when the key is in
-     sample i and 0 otherwise. *)
-  let key_outcome t seeds ~ids ~sets h =
-    let r = Array.length t.probs in
-    let values =
-      Array.init r (fun i ->
-          if ISet.mem h sets.(i) then Some 1.
-          else if
-            Sampling.Seeds.seed seeds ~instance:ids.(i) ~key:h <= t.probs.(i)
-          then Some 0.
-          else None)
-    in
-    { Sampling.Outcome.Oblivious.probs = t.probs; values }
+  (* One walk for both sums. Per key, through the Section 5 mapping,
+     entry i is "obliviously sampled" iff u_i ≤ p_i, with value 1 when
+     the key is in sample i and 0 otherwise: the OR^(L) term (given the
+     solver) reads that outcome, the HT term counts 1/Π p_i when every
+     seed is below its p. *)
+  let walk ?general ~probs seeds ~ids cols ~select =
+    let r = Array.length probs in
+    let ids = match ids with Some ids -> ids | None -> Array.init r Fun.id in
+    let buf = EB.create ~r_max:(max r 1) in
+    let salts = Column.salts seeds ~ids in
+    let u = Float.Array.make r 0. in
+    let inv = 1. /. Array.fold_left ( *. ) 1. probs in
+    let acc = Float.Array.make 2 0. in
+    let out = buf.EB.out in
+    let w = Column.walk cols in
+    while Column.more w do
+      let h = Column.next w in
+      if select h then begin
+        Column.seeds_into salts h u;
+        let all_below = ref true in
+        for i = 0 to r - 1 do
+          let below = Float.Array.get u i <= probs.(i) in
+          if not below then all_below := false;
+          let sampled = Column.hit w i >= 0 in
+          Float.Array.set buf.EB.vals i (if sampled then 1. else 0.);
+          Bytes.set buf.EB.present i
+            (if sampled || below then '\001' else '\000')
+        done;
+        (match general with
+        | Some g ->
+            Estcore.Max_oblivious.Flat.general_into g buf ~dst:out ~di:0;
+            Float.Array.set acc 0
+              (Float.Array.get acc 0 +. Float.Array.get out 0)
+        | None -> ());
+        if !all_below then Float.Array.set acc 1 (Float.Array.get acc 1 +. inv)
+      end
+    done;
+    (Float.Array.get acc 0, Float.Array.get acc 1)
 
-  let union_of samples =
-    Array.fold_left
-      (fun acc s -> ISet.union acc (ISet.of_list s))
-      ISet.empty samples
+  let estimates t seeds ~ids cols ~select =
+    walk ~general:t.general ~probs:t.probs seeds ~ids:(Some ids) cols ~select
 
   let estimate ?ids t seeds ~samples ~select =
     if Array.length samples <> Array.length t.probs then
       invalid_arg "Distinct.Multi.estimate: arity mismatch";
-    let ids =
-      match ids with
-      | Some ids -> ids
-      | None -> Array.init (Array.length t.probs) Fun.id
-    in
-    let sets = Array.map ISet.of_list samples in
-    ISet.fold
-      (fun h acc ->
-        if select h then
-          acc
-          +. Estcore.Max_oblivious.General.estimate t.general
-               (key_outcome t seeds ~ids ~sets h)
-        else acc)
-      (union_of samples) 0.
+    fst
+      (walk ~general:t.general ~probs:t.probs seeds ~ids
+         (Array.map Column.of_keys samples) ~select)
 
   let exact_variance t ~memberships =
     let r = Array.length t.probs in
@@ -166,23 +197,7 @@ module Multi = struct
       tbl 0.
 
   let ht_estimate ?ids ~probs seeds ~samples ~select =
-    let r = Array.length probs in
-    let ids =
-      match ids with Some ids -> ids | None -> Array.init r Fun.id
-    in
-    let inv = 1. /. Array.fold_left ( *. ) 1. probs in
-    let union = union_of samples in
-    ISet.fold
-      (fun h acc ->
-        if
-          select h
-          && List.init r (fun i ->
-                 Sampling.Seeds.seed seeds ~instance:ids.(i) ~key:h
-                 <= probs.(i))
-             |> List.for_all Fun.id
-        then acc +. inv
-        else acc)
-      union 0.
+    snd (walk ~probs seeds ~ids (Array.map Column.of_keys samples) ~select)
 end
 
 module Required = struct

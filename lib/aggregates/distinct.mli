@@ -30,7 +30,25 @@ val classify :
     [select]. [ids] (default [(0, 1)]) are the instance ids the two
     samples were drawn under — seeds are recomputed at those ids, so
     samples of instances other than 0 and 1 (e.g. live server instances)
-    classify correctly under [Independent] seeds. *)
+    classify correctly under [Independent] seeds. {!classify_columns}
+    over the lists as {!Column.of_keys}. *)
+
+val classify_columns :
+  ?table:Estcore.Or_weighted.Table.t ->
+  Sampling.Seeds.t ->
+  ids:int * int ->
+  p1:float ->
+  p2:float ->
+  Column.t ->
+  Column.t ->
+  select:(int -> bool) ->
+  classes * float
+(** The serving walk of two binary samples held as key columns: one
+    {!Column.walk} over their union, in ascending key order, counting
+    each selected key in its class and, given a flattened OR^(L)
+    [table], adding that key's cell (its (below, sampled) code) to the
+    second component (0 without a table). Seeds are stored from
+    per-query salts, so the walk allocates nothing per key. *)
 
 val sample_binary :
   Sampling.Seeds.t ->
@@ -80,6 +98,11 @@ val coordinated_estimate :
     [≤ p], so [|(S₁ ∪ … ∪ S_r) ∩ select| / p] is the optimal
     inverse-probability estimate. *)
 
+val coordinated_columns :
+  p:float -> Column.t array -> select:(int -> bool) -> float
+(** {!coordinated_estimate} over samples held as key columns: the
+    selected union keys of one {!Column.walk}, counted, over [p]. *)
+
 val var_coordinated : d:float -> p:float -> float
 (** [d(1/p − 1)] — per-key Bernoulli(p); compare with {!var_l} and
     {!var_ht} to quantify the benefit of coordination (§7.2). *)
@@ -109,7 +132,8 @@ module Multi : sig
       r independent weighted samples (key lists) and the recomputable
       seeds. Keys sampled nowhere contribute 0 (as they must). [ids]
       (default [[|0; …; r−1|]]) are the instance ids the samples were
-      drawn under. *)
+      drawn under. The first component of {!estimates} over the lists
+      as {!Column.of_keys}. *)
 
   val ht_estimate :
     ?ids:int array ->
@@ -120,6 +144,20 @@ module Multi : sig
     float
   (** The HT baseline: a key counts [1/Π p_i] iff its seed is below [p_i]
       in every instance and it is sampled somewhere. *)
+
+  val estimates :
+    t ->
+    Sampling.Seeds.t ->
+    ids:int array ->
+    Column.t array ->
+    select:(int -> bool) ->
+    float * float
+  (** [(estimate, ht_estimate)] of r binary samples held as key
+      columns (one per probability, [ids] their instance ids), from one
+      {!Column.walk}: per union key the seeds are stored from per-query
+      salts and the OR^(L) term goes through
+      {!Estcore.Max_oblivious.Flat.general_into}, so the walk allocates
+      nothing per key. *)
 
   val exact_variance : t -> memberships:bool array array -> float
   (** Exact variance of {!estimate} for a key universe given as

@@ -19,60 +19,38 @@ let sums t ~select =
   in
   { union_hat; inter_hat }
 
-(* One cursor-merge walk computing both sums — the serving hot path,
-   mirroring {!Sum_agg.estimate_flat}'s columnar layout. The monotone
-   closed forms read only values/presence/thresholds, so no per-key
-   seeds are recomputed (the one allocation the max/or flat loops still
-   pay); bit-identity to {!sums} holds because both walk the same
-   ascending union keys and accumulate the same guarded per-key values
-   left to right, with twin evaluators underneath. *)
-let sums_flat t ~select =
-  let r = Array.length t.Sum_agg.samples in
+(* One walk over the union of the PPS columns computing both sums. The
+   monotone closed forms read only values/presence/thresholds, so no
+   seed is recomputed; bit-identity to {!sums} holds because both take
+   the same ascending union keys and accumulate the same guarded
+   per-key values left to right, with twin evaluators underneath. *)
+let sums_columns ~taus cols ~select =
+  let r = Array.length cols in
   let buf = EB.create ~r_max:(max r 1) in
-  let sorted =
-    Array.map
-      (fun (s : Sampling.Poisson.pps) ->
-        List.stable_sort
-          (fun ((a : int), _) (b, _) -> Int.compare a b)
-          s.Sampling.Poisson.entries)
-      t.Sum_agg.samples
-  in
-  let keys = Array.map (fun l -> Array.of_list (List.map fst l)) sorted in
-  let vals = Array.map (fun l -> Float.Array.of_list (List.map snd l)) sorted in
-  let cursors = Array.make (max r 1) 0 in
   let acc = Float.Array.make 2 0. in
-  let out = Float.Array.make 1 0. in
-  List.iter
-    (fun h ->
-      if select h then begin
-        for i = 0 to r - 1 do
-          let ks = keys.(i) in
-          let n = Array.length ks in
-          let c = ref cursors.(i) in
-          while !c < n && Array.unsafe_get ks !c < h do
-            incr c
-          done;
-          cursors.(i) <- !c;
-          if !c < n && Array.unsafe_get ks !c = h then begin
-            Float.Array.set buf.EB.vals i (Float.Array.get vals.(i) !c);
-            Bytes.set buf.EB.present i '\001'
-          end
-          else begin
-            Float.Array.set buf.EB.vals i 0.;
-            Bytes.set buf.EB.present i '\000'
-          end
-        done;
-        M.Flat.max_into ~taus:t.Sum_agg.taus buf ~dst:out ~di:0;
-        Float.Array.set acc 0
-          (Float.Array.get acc 0
-          +. M.guard ~site:site_union (Float.Array.get out 0));
-        M.Flat.min_into ~taus:t.Sum_agg.taus buf ~dst:out ~di:0;
-        Float.Array.set acc 1
-          (Float.Array.get acc 1
-          +. M.guard ~site:site_inter (Float.Array.get out 0))
-      end)
-    (Sum_agg.sampled_keys t);
+  let out = buf.EB.out in
+  (* [M.guard]'s answer, calling it (which boxes the value) only for a
+     value it would replace. *)
+  let add slot ~site =
+    let v = Float.Array.get out 0 in
+    let v = if Float.is_finite v && v >= 0. then v else M.guard ~site v in
+    Float.Array.set acc slot (Float.Array.get acc slot +. v)
+  in
+  let w = Column.walk cols in
+  while Column.more w do
+    let h = Column.next w in
+    if select h then begin
+      Column.load w buf;
+      M.Flat.max_into ~taus buf ~dst:out ~di:0;
+      add 0 ~site:site_union;
+      M.Flat.min_into ~taus buf ~dst:out ~di:0;
+      add 1 ~site:site_inter
+    end
+  done;
   { union_hat = Float.Array.get acc 0; inter_hat = Float.Array.get acc 1 }
+
+let sums_flat t ~select =
+  sums_columns ~taus:t.Sum_agg.taus (Sum_agg.columns t) ~select
 
 let jaccard s = if s.union_hat > 0. then s.inter_hat /. s.union_hat else 0.
 let l1 s = s.union_hat -. s.inter_hat

@@ -34,16 +34,20 @@ val sums :
     ["similarity.union"], ["similarity.intersection"]). The oracle the
     bit-identity tests hold the serving path to. *)
 
+val sums_columns :
+  taus:float array -> Column.t array -> select:(int -> bool) -> sums
+(** Serving path: both sums from one {!Column.walk} over PPS samples
+    held as columns, each per-key estimate through the
+    {!Estcore.Monotone.Flat} store-into twins and the same guard. The
+    L* closed forms never read seeds, so the walk computes none and
+    allocates nothing per key. Bit-identical to {!sums}: same ascending
+    union-key order, same left-to-right accumulation, twin evaluators
+    (asserted by the test suite). *)
+
 val sums_flat :
   Sum_agg.pps_samples -> select:(int -> bool) -> sums
-(** Serving path: one columnar cursor-merge walk over the union keys (in
-    the {!Sum_agg.estimate_flat} mold), both per-key estimates through
-    the {!Estcore.Monotone.Flat} store-into twins and the same guard.
-    The L* closed forms never read seeds, so — unlike
-    {!Sum_agg.estimate_flat} — the walk computes none, and a per-key
-    evaluation allocates nothing at all. Bit-identical to {!sums}: same
-    ascending union-key order, same left-to-right accumulation, twin
-    evaluators (asserted by the test suite). *)
+(** {!sums_columns} over the samples' entries as columns
+    ({!Column.of_entries}). *)
 
 val jaccard : sums -> float
 (** [inter_hat / union_hat], 0 when the union estimate is not positive.

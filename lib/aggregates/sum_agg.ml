@@ -121,68 +121,58 @@ let estimate t ~est ~select =
 
 module EB = Estcore.Evalbuf
 
-(* Allocation-free estimate loop (the serving hot path). The samples are
-   flattened once into per-instance (ascending key, unboxed value)
-   columns; each union key is then assembled into an {!Estcore.Evalbuf}
-   by cursor merge instead of [key_outcome]'s three fresh arrays and
-   [List.assoc_opt] walks, and the per-key estimate goes through the
-   store-into flat evaluators. Per key the only allocations left are the
-   boxed floats [Seeds.seed] returns. Bit-identical to {!estimate} with
-   the corresponding reference estimator: same ascending union-key
-   order, same seed recomputation at recorded instance ids, same
-   left-to-right accumulation, and evaluators that mirror the reference
-   closed forms operation for operation (enforced by the test suite).
-   The entry columns are stable-sorted by key, so a duplicated key
-   resolves to its first binding — exactly [List.assoc_opt]'s answer. *)
-let estimate_flat t ~est ~select =
-  let r = Array.length t.samples in
+type max_sums = { max_ht : float; max_l : float option; min_ht : float }
+
+(* The serving walk: one ascending pass over the union of the PPS
+   columns, the three per-key estimates through the store-into flat
+   evaluators, each summed left to right in its own slot. Per key the
+   walk allocates nothing: the seeds are stored into the buffer from
+   per-query salts, the values come from the columns. *)
+let max_columns seeds ~ids ~taus cols ~select =
+  let r = Array.length cols in
   let buf = EB.create ~r_max:(max r 1) in
-  let sorted =
-    Array.map
-      (fun (s : P.pps) ->
-        List.stable_sort
-          (fun ((a : int), _) (b, _) -> Int.compare a b)
-          s.P.entries)
-      t.samples
+  let salts = Column.salts seeds ~ids in
+  let with_l = r = 2 in
+  let out = buf.EB.out in
+  let acc = Float.Array.make 3 0. in
+  let add slot =
+    Float.Array.set acc slot (Float.Array.get acc slot +. Float.Array.get out 0)
   in
-  let keys = Array.map (fun l -> Array.of_list (List.map fst l)) sorted in
-  let vals = Array.map (fun l -> Float.Array.of_list (List.map snd l)) sorted in
-  let cursors = Array.make (max r 1) 0 in
-  let acc = Float.Array.make 1 0. in
-  List.iter
-    (fun h ->
-      if select h then begin
-        for i = 0 to r - 1 do
-          Float.Array.set buf.EB.phi i
-            (Sampling.Seeds.seed t.seeds
-               ~instance:t.samples.(i).P.instance_id ~key:h);
-          let ks = keys.(i) in
-          let n = Array.length ks in
-          let c = ref cursors.(i) in
-          while !c < n && Array.unsafe_get ks !c < h do
-            incr c
-          done;
-          cursors.(i) <- !c;
-          if !c < n && Array.unsafe_get ks !c = h then begin
-            Float.Array.set buf.EB.vals i (Float.Array.get vals.(i) !c);
-            Bytes.set buf.EB.present i '\001'
-          end
-          else begin
-            Float.Array.set buf.EB.vals i 0.;
-            Bytes.set buf.EB.present i '\000'
-          end
-        done;
-        (match est with
-        | `Max_l ->
-            Estcore.Max_pps.Flat.l_into ~taus:t.taus buf ~dst:buf.EB.out ~di:0
-        | `Max_ht ->
-            Estcore.Ht.Flat.max_pps_into ~taus:t.taus buf ~dst:buf.EB.out
-              ~di:0);
-        Float.Array.set acc 0
-          (Float.Array.get acc 0 +. Float.Array.get buf.EB.out 0)
-      end)
-    (sampled_keys t);
-  Float.Array.get acc 0
+  let w = Column.walk cols in
+  while Column.more w do
+    let h = Column.next w in
+    if select h then begin
+      Column.load w buf;
+      Column.seeds_into salts h buf.EB.phi;
+      Estcore.Ht.Flat.max_pps_into ~taus buf ~dst:out ~di:0;
+      add 0;
+      if with_l then begin
+        Estcore.Max_pps.Flat.l_into ~taus buf ~dst:out ~di:0;
+        add 1
+      end;
+      Estcore.Ht.Flat.min_pps_into ~taus buf ~dst:out ~di:0;
+      add 2
+    end
+  done;
+  {
+    max_ht = Float.Array.get acc 0;
+    max_l = (if with_l then Some (Float.Array.get acc 1) else None);
+    min_ht = Float.Array.get acc 2;
+  }
+
+let columns t =
+  Array.map (fun (s : P.pps) -> Column.of_entries s.P.entries) t.samples
+
+let ids t = Array.map (fun (s : P.pps) -> s.P.instance_id) t.samples
+
+let estimate_flat t ~est ~select =
+  let sums =
+    max_columns t.seeds ~ids:(ids t) ~taus:t.taus (columns t) ~select
+  in
+  match (est, sums.max_l) with
+  | `Max_ht, _ -> sums.max_ht
+  | `Max_l, Some l -> l
+  | `Max_l, None -> invalid_arg "Sum_agg.estimate_flat: `Max_l needs r = 2"
 
 let exact_variance ~taus ~instances ~moments ~select =
   List.fold_left

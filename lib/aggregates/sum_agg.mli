@@ -54,18 +54,40 @@ val estimate :
 (** [Σ_{h ∈ select ∩ sampled} est(outcome h)]. Unbiased for the sum
     aggregate when [est] is unbiased per key. *)
 
+type max_sums = {
+  max_ht : float;  (** [Σ] {!Estcore.Ht.max_pps} *)
+  max_l : float option;  (** [Σ] {!Estcore.Max_pps.l}; [None] unless r = 2 *)
+  min_ht : float;  (** [Σ] {!Estcore.Ht.min_pps} *)
+}
+
+val max_columns :
+  Sampling.Seeds.t ->
+  ids:int array ->
+  taus:float array ->
+  Column.t array ->
+  select:(int -> bool) ->
+  max_sums
+(** The max/min dominance sums of PPS samples held as {!Column}s (one
+    per instance; [ids] the instance ids the seeds are recomputed at,
+    [taus] the thresholds), all from one {!Column.walk}: per union key
+    the seeds are stored into a reused {!Estcore.Evalbuf} and each sum
+    takes its {!Estcore.Ht.Flat} / {!Estcore.Max_pps.Flat} evaluator,
+    so the walk allocates nothing per key. Each sum is bit-identical to
+    {!estimate} with the reference evaluator: same ascending union-key
+    order, same seeds, same left-to-right accumulation, twin
+    evaluators (asserted by the test suite). *)
+
+val columns : pps_samples -> Column.t array
+(** Each sample's entries as a {!Column} ({!Column.of_entries}). *)
+
 val estimate_flat :
   pps_samples ->
   est:[ `Max_l | `Max_ht ] ->
   select:(int -> bool) ->
   float
-(** {!estimate} through the allocation-free flat evaluators
-    ({!Estcore.Max_pps.Flat.l_into} / {!Estcore.Ht.Flat.max_pps_into}):
-    samples are flattened once into per-instance ascending-key columns,
-    each union key is assembled into a reused {!Estcore.Evalbuf} by
-    cursor merge, and per-key evaluation allocates nothing beyond the
-    boxed seeds. Bit-identical to {!estimate} with the corresponding
-    reference estimator (asserted by the test suite). *)
+(** One sum of {!max_columns} over {!columns} (a duplicated key keeps
+    its first binding, like {!key_outcome}). [`Max_l] needs two samples
+    ([Invalid_argument] otherwise). *)
 
 val exact_variance :
   taus:float array ->

@@ -121,6 +121,29 @@ module Flat = struct
       Float.Array.unsafe_set dst di (!vmax /. !pall)
     end
     else Float.Array.unsafe_set dst di 0.
+
+  let min_pps_into ~(taus : float array) (buf : Evalbuf.t) ~(dst : floatarray)
+      ~di =
+    let r = Array.length taus in
+    if r > Float.Array.length buf.Evalbuf.vals then
+      invalid_arg "Ht.Flat.min_pps_into: r exceeds buffer capacity";
+    let all = ref true in
+    for i = 0 to r - 1 do
+      if Bytes.unsafe_get buf.Evalbuf.present i = '\000' then all := false
+    done;
+    if !all then begin
+      let p = ref 1. in
+      for i = 0 to r - 1 do
+        let v = Float.Array.unsafe_get buf.Evalbuf.vals i in
+        p := !p *. Float.min 1. (v /. Array.unsafe_get taus i)
+      done;
+      let vmin = ref infinity in
+      for i = 0 to r - 1 do
+        vmin := Float.min !vmin (Float.Array.unsafe_get buf.Evalbuf.vals i)
+      done;
+      Float.Array.unsafe_set dst di (!vmin /. !p)
+    end
+    else Float.Array.unsafe_set dst di 0.
 end
 
 let min_pps (o : P.t) =

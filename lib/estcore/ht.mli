@@ -43,9 +43,10 @@ val max_pps_variance : taus:float array -> v:float array -> float
 (** Closed-form variance of {!max_pps}: [max(v)² (1/Π min(1,max/τ_i) − 1)]
     (0 when [max(v) = 0]). *)
 
-(** Allocation-free mirrors of {!max_pps} / {!max_oblivious}: inputs
-    from an {!Evalbuf} (values in [vals], presence in [present], seeds
-    in [phi] for the PPS variant), result stored into [dst.(di)].
+(** Allocation-free mirrors of {!max_pps} / {!max_oblivious} /
+    {!min_pps}: inputs from an {!Evalbuf} (values in [vals], presence in
+    [present], seeds in [phi] for [max_pps_into]), result stored into
+    [dst.(di)].
     Bit-identical to the reference evaluators and zero-allocation per
     call — both enforced by the test suite. *)
 module Flat : sig
@@ -54,6 +55,9 @@ module Flat : sig
 
   val max_oblivious_into :
     probs:float array -> Evalbuf.t -> dst:floatarray -> di:int -> unit
+
+  val min_pps_into :
+    taus:float array -> Evalbuf.t -> dst:floatarray -> di:int -> unit
 end
 
 val min_pps : Sampling.Outcome.Pps.t -> float

@@ -1,6 +1,14 @@
-let mix64 = Prng.SplitMix64.mix
+(* SplitMix64's finalizer, the same function as [Prng.SplitMix64.mix]
+   (tested). It is spelled out here, and every step of the integer-key
+   seed is [@inline], so that [uniform_int_into] runs on unboxed int64
+   and float locals: a call into another module would box them. *)
+let[@inline] mix64 x =
+  let open Int64 in
+  let x = mul (logxor x (shift_right_logical x 30)) 0xBF58476D1CE4E5B9L in
+  let x = mul (logxor x (shift_right_logical x 27)) 0x94D049BB133111EBL in
+  logxor x (shift_right_logical x 31)
 
-let combine a b =
+let[@inline] combine a b =
   (* Boost-style combine lifted to 64 bits, then avalanched. *)
   mix64 (Int64.add (Int64.logxor a 0x9E3779B97F4A7C15L) (Int64.add (Int64.shift_left b 6) b))
 
@@ -24,6 +32,10 @@ let[@inline] to_unit_open h =
   if x > 0. then x else to_unit (mix64 (Int64.add h 1L))
 
 let[@inline] uniform_int ~salt h = to_unit_open (hash_int ~salt h)
+
+let uniform_int_into ~salt h (dst : floatarray) di =
+  Float.Array.set dst di (uniform_int ~salt h)
+
 let uniform_string ~salt s = to_unit_open (hash_string ~salt s)
 
 let salt_of_instance ~master i =

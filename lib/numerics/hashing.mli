@@ -31,6 +31,11 @@ val uniform_int : salt:int64 -> int -> float
 (** [uniform_int ~salt h = to_unit_open (hash_int ~salt h)] — the seed
     [u(h)] of integer key [h]. *)
 
+val uniform_int_into : salt:int64 -> int -> floatarray -> int -> unit
+(** [uniform_int_into ~salt h dst i] stores [uniform_int ~salt h] into
+    [dst.(i)] without allocating: the store-into form of the seed, for
+    per-key loops. *)
+
 val uniform_string : salt:int64 -> string -> float
 (** Seed of a string key. *)
 

@@ -25,6 +25,12 @@ val seed : t -> instance:int -> key:int -> float
 (** [seed t ~instance ~key] is the uniform seed [u_instance(key) ∈ (0,1)].
     In [Shared] mode the result does not depend on [instance]. *)
 
+val salt : t -> instance:int -> int64
+(** The hash salt of [instance]: [seed t ~instance ~key] is
+    [Numerics.Hashing.uniform_int ~salt:(salt t ~instance) key]. A
+    per-key loop computes the salts once and stores each seed with
+    {!Numerics.Hashing.uniform_int_into}, which allocates nothing. *)
+
 val seed_string : t -> instance:int -> key:string -> float
 (** Same for string keys. *)
 

@@ -49,38 +49,26 @@ let or_flat_tables ~p1 ~p2 =
   | Ok table -> Ok (table, or_table ~p1 ~p2 table)
   | Error e -> Error e
 
-module ISet = Set.Make (Int)
-
-(* Serving path of [QUERY or]: an ascending walk over the union of the
-   two samples, left-to-right accumulation. The outcome key of key h is
-   its (below, sampled) indicator pair, with seeds recomputed at the
-   instances' recorded ids; each key costs one cell index and one
-   unboxed load in the flattened table. *)
-let eval_or_flat flat seeds ~ids:(id1, id2) ~p1 ~p2 ~s1 ~s2 =
-  let set1 = ISet.of_list s1 and set2 = ISet.of_list s2 in
-  let acc = Float.Array.make 1 0. in
-  ISet.iter
-    (fun h ->
-      let u1 = Sampling.Seeds.seed seeds ~instance:id1 ~key:h in
-      let u2 = Sampling.Seeds.seed seeds ~instance:id2 ~key:h in
-      let code =
-        Estcore.Or_weighted.Table.code ~b0:(u1 <= p1) ~b1:(u2 <= p2)
-          ~s0:(ISet.mem h set1) ~s1:(ISet.mem h set2)
-      in
-      Estcore.Or_weighted.Table.add_into flat ~code acc)
-    (ISet.union set1 set2);
-  Float.Array.get acc 0
-
 let select_all _ = true
 
-let pps_samples_of st insts =
-  {
-    Aggregates.Sum_agg.seeds = Store.seeds st;
-    taus =
-      Array.of_list
-        (List.map (fun i -> (Store.instance_config i).Store.tau) insts);
-    samples = Array.of_list (List.map Store.pps_sample insts);
-  }
+(* Serving path of [QUERY or] for key lists: the columns' walk of
+   {!Distinct.classify_columns}, its table sum. *)
+let eval_or_flat flat seeds ~ids ~p1 ~p2 ~s1 ~s2 =
+  snd
+    (Distinct.classify_columns ~table:flat seeds ~ids ~p1 ~p2
+       (Aggregates.Column.of_keys s1) (Aggregates.Column.of_keys s2)
+       ~select:select_all)
+
+(* What the rows read of the queried instances, in query order: ids,
+   parameters and the resident sample columns, no copy. *)
+let ids insts = Array.of_list (List.map Store.id insts)
+let param f insts =
+  Array.of_list (List.map (fun i -> f (Store.instance_config i)) insts)
+
+let taus = param (fun c -> c.Store.tau)
+let probs = param (fun c -> c.Store.p)
+let pps_columns insts = Array.of_list (List.map Store.pps_column insts)
+let binary_columns insts = Array.of_list (List.map Store.binary_column insts)
 
 let names_field insts =
   "[" ^ String.concat "," (List.map (fun i -> P.jstr (Store.name i)) insts) ^ "]"
@@ -89,60 +77,36 @@ let head estimate estimator =
   [ ("estimate", P.jfloat estimate); ("estimator", P.jstr estimator) ]
 
 (* Σmax over independent PPS samples: the HT sum for any r, and for
-   r = 2 the paper's max^(L) closed form, which is preferred. The
-   max-dominance norm is this sum aggregate, so [max] and [dominance]
-   answer from the same pair. *)
-let max_sums ps ~r =
-  let ht =
-    Aggregates.Sum_agg.estimate_flat ps ~est:`Max_ht ~select:select_all
-  in
-  let l =
-    if r = 2 then
-      Some (Aggregates.Sum_agg.estimate_flat ps ~est:`Max_l ~select:select_all)
-    else None
-  in
-  (ht, l)
+   r = 2 the paper's max^(L) closed form, which is preferred; the
+   max-dominance norm is this sum aggregate, and dominance adds the HT
+   min. One walk computes all three. *)
+let max_sums st insts =
+  Aggregates.Sum_agg.max_columns (Store.seeds st) ~ids:(ids insts)
+    ~taus:(taus insts) (pps_columns insts) ~select:select_all
 
-let preferred (ht, l) ~l:l_name ~ht:ht_name =
-  match l with Some l -> head l l_name | None -> head ht ht_name
+let preferred (s : Aggregates.Sum_agg.max_sums) ~l:l_name ~ht:ht_name =
+  match s.max_l with Some l -> head l l_name | None -> head s.max_ht ht_name
 
-(* The binary support samples every [or] / [distinct] row reads. *)
-type binary = {
-  seeds : Sampling.Seeds.t;
-  probs : float array;
-  ids : int array;
-  samples : int list array;
-}
-
-let binary_of st insts =
-  {
-    seeds = Store.seeds st;
-    probs =
-      Array.of_list
-        (List.map (fun i -> (Store.instance_config i).Store.p) insts);
-    ids = Array.of_list (List.map Store.id insts);
-    samples = Array.of_list (List.map Store.binary_sample insts);
-  }
-
-let classify b =
-  Distinct.classify ~ids:(b.ids.(0), b.ids.(1)) b.seeds ~p1:b.probs.(0)
-    ~p2:b.probs.(1) ~s1:b.samples.(0) ~s2:b.samples.(1) ~select:select_all
+(* The five classes of a pair of independent binary samples and, given
+   the flattened OR^(L) table, its sum — one walk. *)
+let classify ?table st insts =
+  let p = probs insts and id = ids insts and c = binary_columns insts in
+  Distinct.classify_columns ?table (Store.seeds st) ~ids:(id.(0), id.(1))
+    ~p1:p.(0) ~p2:p.(1) c.(0) c.(1) ~select:select_all
 
 (* OR^(L) over two independent binary samples. Degradation ladder: the
    machine-derived table first, the closed form when Algorithm 1 fails
    on this probability pair. *)
-let or_pair b =
-  let p1 = b.probs.(0) and p2 = b.probs.(1) in
-  let classes = classify b in
+let or_pair st insts =
+  let p = probs insts in
+  let p1 = p.(0) and p2 = p.(1) in
+  let table = Result.map snd (or_flat_tables ~p1 ~p2) in
+  let classes, table_sum = classify ?table:(Result.to_option table) st insts in
   let closed = Distinct.l_estimate classes ~p1 ~p2 in
   let ht = Distinct.ht_estimate classes ~p1 ~p2 in
   let estimate, provenance =
-    match Designer.solve_order_cached ~cache:or_cache (or_problem ~p1 ~p2) with
-    | Ok table ->
-        let flat = or_table ~p1 ~p2 table in
-        ( eval_or_flat flat b.seeds ~ids:(b.ids.(0), b.ids.(1)) ~p1 ~p2
-            ~s1:b.samples.(0) ~s2:b.samples.(1),
-          "designer" )
+    match table with
+    | Ok _ -> (table_sum, "designer")
     | Error cause ->
         Numerics.Robust.note_degradation ~site:"server.query.or"
           ~fallback:"closed-form"
@@ -155,9 +119,10 @@ let or_pair b =
       ("ht", P.jfloat ht) ]
 
 (* The L / U / HT distinct counts and the five outcome classes (§8.1). *)
-let distinct_pair b =
-  let p1 = b.probs.(0) and p2 = b.probs.(1) in
-  let c = classify b in
+let distinct_pair st insts =
+  let p = probs insts in
+  let p1 = p.(0) and p2 = p.(1) in
+  let c, _ = classify st insts in
   head (Distinct.l_estimate c ~p1 ~p2) "distinct-l"
   @ [ ("u", P.jfloat (Distinct.u_estimate c ~p1 ~p2));
       ("ht", P.jfloat (Distinct.ht_estimate c ~p1 ~p2));
@@ -166,18 +131,12 @@ let distinct_pair b =
       ("f01", P.jint c.Distinct.f01) ]
 
 (* OR^(L) over r independent binary samples (the Theorem 4.1 solver)
-   and its HT baseline: [or] and [distinct] answer from the same pair. *)
-let or_multi b =
-  let m = Distinct.Multi.create ~probs:b.probs in
-  let l =
-    Distinct.Multi.estimate ~ids:b.ids m b.seeds ~samples:b.samples
-      ~select:select_all
-  in
-  let ht =
-    Distinct.Multi.ht_estimate ~ids:b.ids ~probs:b.probs b.seeds
-      ~samples:b.samples ~select:select_all
-  in
-  (l, ht)
+   and its HT baseline: [or] and [distinct] answer from the same walk. *)
+let or_multi st insts =
+  Distinct.Multi.estimates
+    (Distinct.Multi.create ~probs:(probs insts))
+    (Store.seeds st) ~ids:(ids insts) (binary_columns insts)
+    ~select:select_all
 
 (* |∪ S_i| / p over shared-seed binary samples: a key present in any
    instance is in the union of the samples iff its one seed is ≤ p. That
@@ -201,18 +160,19 @@ let coordinated insts estimator =
                (Store.name other)
                (Float.to_string (p_of other)))
       | None ->
-          let samples = Array.of_list (List.map Store.binary_sample insts) in
           Ok
             (head
-               (Distinct.coordinated_estimate ~p:(p_of first) ~samples
-                  ~select:select_all)
+               (Distinct.coordinated_columns ~p:(p_of first)
+                  (binary_columns insts) ~select:select_all)
                estimator))
 
-(* The union and intersection sums of one {!Aggregates.Similarity.sums_flat}
-   walk (the Monotone L* max and min), reported with every L* answer. *)
-let lstar st insts estimator pick =
+(* The union and intersection sums of one
+   {!Aggregates.Similarity.sums_columns} walk (the Monotone L* max and
+   min), reported with every L* answer. *)
+let lstar insts estimator pick =
   let s =
-    Aggregates.Similarity.sums_flat (pps_samples_of st insts) ~select:select_all
+    Aggregates.Similarity.sums_columns ~taus:(taus insts) (pps_columns insts)
+      ~select:select_all
   in
   Ok
     (head (pick s) estimator
@@ -234,39 +194,35 @@ let inter_hat s = s.Aggregates.Similarity.inter_hat
 let answer st kind insts =
   let r = List.length insts in
   match (kind, (Store.config st).Store.mode) with
-  | P.Max, Sampling.Seeds.Shared -> lstar st insts "max-lstar" union_hat
-  | P.Dominance, Shared -> lstar st insts "maxdom-lstar" union_hat
-  | P.Union, Shared -> lstar st insts "union-lstar" union_hat
-  | P.Intersection, Shared -> lstar st insts "intersection-lstar" inter_hat
+  | P.Max, Sampling.Seeds.Shared -> lstar insts "max-lstar" union_hat
+  | P.Dominance, Shared -> lstar insts "maxdom-lstar" union_hat
+  | P.Union, Shared -> lstar insts "union-lstar" union_hat
+  | P.Intersection, Shared -> lstar insts "intersection-lstar" inter_hat
   | P.Jaccard, Shared ->
-      lstar st insts "jaccard-lstar" Aggregates.Similarity.jaccard
+      lstar insts "jaccard-lstar" Aggregates.Similarity.jaccard
   | P.L1, Shared when r > 2 ->
       Error (Printf.sprintf "l1 takes exactly two instances (got %d)" r)
-  | P.L1, Shared -> lstar st insts "l1-lstar" Aggregates.Similarity.l1
+  | P.L1, Shared -> lstar insts "l1-lstar" Aggregates.Similarity.l1
   | P.Or, Shared -> coordinated insts "or-coordinated"
   | P.Distinct, Shared -> coordinated insts "distinct-coordinated"
   | P.Max, Independent ->
-      let sums = max_sums (pps_samples_of st insts) ~r in
+      let s = max_sums st insts in
       Ok
-        (preferred sums ~l:"max-l" ~ht:"max-ht"
-        @ [ ("ht", P.jfloat (fst sums)) ])
+        (preferred s ~l:"max-l" ~ht:"max-ht" @ [ ("ht", P.jfloat s.max_ht) ])
   | P.Dominance, Independent ->
-      let ps = pps_samples_of st insts in
-      let sums = max_sums ps ~r in
-      let min_ht = Aggregates.Dominance.min_dominance_ht ps ~select:select_all in
+      let s = max_sums st insts in
       Ok
-        (preferred sums ~l:"maxdom-l" ~ht:"maxdom-ht"
-        @ [ ("max_ht", P.jfloat (fst sums)); ("min_ht", P.jfloat min_ht) ])
-  | P.Or, Independent when r = 2 -> Ok (or_pair (binary_of st insts))
-  | P.Distinct, Independent when r = 2 ->
-      Ok (distinct_pair (binary_of st insts))
+        (preferred s ~l:"maxdom-l" ~ht:"maxdom-ht"
+        @ [ ("max_ht", P.jfloat s.max_ht); ("min_ht", P.jfloat s.min_ht) ])
+  | P.Or, Independent when r = 2 -> Ok (or_pair st insts)
+  | P.Distinct, Independent when r = 2 -> Ok (distinct_pair st insts)
   | P.Or, Independent ->
-      let l, ht = or_multi (binary_of st insts) in
+      let l, ht = or_multi st insts in
       Ok
         (head l "or-multi-l"
         @ [ ("provenance", P.jstr "general-solver"); ("ht", P.jfloat ht) ])
   | P.Distinct, Independent ->
-      let l, ht = or_multi (binary_of st insts) in
+      let l, ht = or_multi st insts in
       Ok (head l "distinct-multi-l" @ [ ("ht", P.jfloat ht) ])
   | (P.Union | P.Intersection | P.Jaccard | P.L1), Independent ->
       Error
@@ -317,13 +273,10 @@ let instance_stats inst =
            ("cardinality", P.jint (Store.cardinality inst));
            ("tau", P.jfloat cfg.Store.tau); ("k", P.jint cfg.Store.k);
            ("p", P.jfloat cfg.Store.p);
-           ( "pps_size",
-             P.jint (List.length (Store.pps_sample inst).Sampling.Poisson.entries)
-           );
-           ( "bk_size",
-             P.jint
-               (List.length (Store.bottom_k inst).Sampling.Bottom_k.entries) );
-           ("binary_size", P.jint (List.length (Store.binary_sample inst))) ])
+           ("pps_size", P.jint (Store.pps_column inst).Aggregates.Column.len);
+           ("bk_size", P.jint (Store.bottom_k_size inst));
+           ( "binary_size",
+             P.jint (Store.binary_column inst).Aggregates.Column.len ) ])
   ^ "}"
 
 let shard_stats_json st =

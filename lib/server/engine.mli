@@ -24,22 +24,29 @@
                                                 distinct-multi-l: ht
     v}
 
+    Every row reads the instances' resident key-sorted sample columns
+    ({!Store.pps_column}, {!Store.binary_column}) in one
+    {!Aggregates.Column.walk} over their union, computing all of the
+    row's fields in that walk: no sort, key set or list copy of a sample
+    per query, and no allocation per key.
+
     - {b Shared seeds, L* rows.} The six PPS kinds come from one
-      {!Aggregates.Similarity.sums_flat} walk over the live PPS samples:
+      {!Aggregates.Similarity.sums_columns} walk over the PPS columns:
       the {!Estcore.Monotone} L* max and min summed per key. Σmax is the
       weighted union, so [max] and [dominance] answer the union sum;
       jaccard is their ratio and l1 their difference (exactly two
       instances). Every L* row also reports [union] and [intersection].
     - {b Shared seeds, or / distinct.} A key present in any instance is
       in the union of the binary samples iff its one seed is [≤ p], so
-      [|∪ S_i| / p] ({!Aggregates.Distinct.coordinated_estimate}) is
+      [|∪ S_i| / p] ({!Aggregates.Distinct.coordinated_columns}) is
       unbiased for any r. That needs one [p] across the instances:
       unequal [p] is refused with [kind="bad_request"] naming both
       values, never guessed.
     - {b Independent seeds, max / dominance.} Per-key [max^(L)]
       ({!Estcore.Max_pps.l}, the paper's closed form) for r = 2, the
       [max^(HT)] baseline for any r; dominance adds the HT min-dominance
-      (Section 8.2).
+      (Section 8.2). One {!Aggregates.Sum_agg.max_columns} walk gives
+      all three sums.
     - {b Independent seeds, or / distinct.} For r = 2, [or] walks the
       per-key OR^(L) table machine-derived by Algorithm 1 on
       {!Estcore.Designer.Problems.binary_known_seeds} (memoized under the
@@ -49,8 +56,10 @@
       ({!Aggregates.Distinct.l_estimate}) and says so in [provenance]
       — the {!Numerics.Robust} ladder pattern. [distinct] reports the
       L / U / HT estimates with the five outcome-class counts (Section
-      8.1). For r > 2 both answer from one {!Aggregates.Distinct.Multi}
-      computation (the Theorem 4.1 solver).
+      8.1). Both come from one {!Aggregates.Distinct.classify_columns}
+      walk (the table sum and the classes). For r > 2 both answer from
+      one {!Aggregates.Distinct.Multi.estimates} walk (the Theorem 4.1
+      solver and its HT baseline).
     - {b Independent seeds, similarity kinds.} The joint inclusion law
       is a product, not the diagonal the L* forms integrate over, so the
       engine answers [kind="bad_request"] instead of a silently biased
@@ -75,11 +84,12 @@ val eval_or_flat :
   s1:int list ->
   s2:int list ->
   float
-(** The serving path of [QUERY or] at r = 2: the OR^(L) sum over the
-    union of the two samples, one flattened 16-cell table read per key.
-    Bit-identical to summing {!Estcore.Designer.lookup} of each key's
-    (below, sampled) outcome in ascending key order, on the table it
-    was flattened from. *)
+(** The OR^(L) sum of [QUERY or] at r = 2 for two key lists: the table
+    sum of {!Aggregates.Distinct.classify_columns} over the lists as
+    {!Aggregates.Column.of_keys}, one flattened 16-cell table read per
+    union key. Bit-identical to summing {!Estcore.Designer.lookup} of
+    each key's (below, sampled) outcome in ascending key order, on the
+    table it was flattened from. *)
 
 val or_flat_tables : p1:float -> p2:float -> ((bool array * bool array) Estcore.Designer.estimator * Estcore.Or_weighted.Table.t, string) result
 (** Derive (memoized) the served OR^(L) table for a probability pair and

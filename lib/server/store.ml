@@ -45,10 +45,27 @@ end
 
 module RankSet = Set.Make (Rank_order)
 
-(* A key's accumulated weight and its stamp: the instance's [records]
-   count when the key last changed. All-float, so the record is stored
-   flat: one word per key more than a boxed weight. *)
-type cell = { mutable w : float; mutable stamp : float }
+(* A key's accumulated weight, its stamp (the instance's [records]
+   count when the key last changed) and its slot in the instance's PPS
+   column (-1 while the key is out of the sample). All-float, so the
+   record is stored flat. *)
+type cell = { mutable w : float; mutable stamp : float; mutable slot : float }
+
+(* A resident sample column: [keys.(0 .. sorted-1)] ascending, then the
+   keys that entered since the last [seal] (the tail), in arrival
+   order, each with its cell. A valued column (the PPS sample) also
+   keeps each slot's sampled value, always its key's current weight:
+   [apply] writes it through the cell's [slot], and a seal that moves
+   an entry moves its slot. A key-only column (the binary sample) keeps
+   [vals] empty and leaves slots alone. *)
+type column = {
+  valued : bool;
+  mutable keys : int array;
+  mutable vals : floatarray;
+  mutable cells : cell array;
+  mutable len : int;
+  mutable sorted : int;
+}
 
 type instance = {
   id : int;
@@ -57,8 +74,8 @@ type instance = {
   weights : (int, cell) Hashtbl.t;
   mutable i_records : int;
   mutable i_volume : float;
-  pps_tbl : (int, float) Hashtbl.t;
-  binary_tbl : (int, unit) Hashtbl.t;
+  pps : column;
+  binary : column;
   mutable bk_set : RankSet.t;
   bk_rank : (int, float) Hashtbl.t;  (* key -> rank, for keys in bk_set *)
 }
@@ -170,18 +187,106 @@ let bk_update inst ~u key v =
           Hashtbl.replace inst.bk_rank key rank
         end
 
-(* The sample half of [apply]: key [key] has just reached accumulated
-   weight [v] ([first] on its first record). Every sample is a function
-   of (v, seed) alone, so feeding each key's final weight through here
-   once rebuilds them exactly — which is how [install_summary] restores
-   an instance from its weights. *)
-let sample_key seeds inst ~first key v =
+(* --- resident sample columns --- *)
+
+let column ~valued =
+  {
+    valued;
+    keys = [||];
+    vals = Float.Array.create 0;
+    cells = [||];
+    len = 0;
+    sorted = 0;
+  }
+
+(* Append a key to the tail, doubling the arrays when full. *)
+let append col key c =
+  let cap = Array.length col.keys in
+  if col.len = cap then begin
+    let cap' = max 16 (2 * cap) in
+    let keys = Array.make cap' 0 in
+    Array.blit col.keys 0 keys 0 col.len;
+    col.keys <- keys;
+    let cells = Array.make cap' c in
+    Array.blit col.cells 0 cells 0 col.len;
+    col.cells <- cells;
+    if col.valued then begin
+      let vals = Float.Array.make cap' 0. in
+      Float.Array.blit col.vals 0 vals 0 col.len;
+      col.vals <- vals
+    end
+  end;
+  let i = col.len in
+  col.keys.(i) <- key;
+  col.cells.(i) <- c;
+  if col.valued then begin
+    Float.Array.set col.vals i c.w;
+    c.slot <- Float.of_int i
+  end;
+  col.len <- i + 1
+
+(* Merge the tail into the sorted prefix, in place: the tail is sorted
+   aside (unless it already continues the prefix in order, as a
+   restore's ascending keys do) and merged from the back, moving only
+   the prefix entries above its least key. O(n + m log m) for n sorted
+   keys and m entrants, with O(m) scratch; every key enters a column
+   once, so this is paid once per entering key. *)
+let seal col =
+  let n = col.len and s = col.sorted in
+  let keys = col.keys in
+  let in_order = ref true in
+  for i = max 1 s to n - 1 do
+    if keys.(i - 1) > keys.(i) then in_order := false
+  done;
+  if not !in_order then begin
+    let m = n - s in
+    let tail = Array.init m (fun j -> s + j) in
+    Array.sort (fun a b -> Int.compare keys.(a) keys.(b)) tail;
+    let cells = col.cells in
+    let tkeys = Array.map (fun i -> keys.(i)) tail in
+    let tcells = Array.map (fun i -> cells.(i)) tail in
+    (* Entry [o] now holds key [k], cell [c]. *)
+    let place o k c =
+      keys.(o) <- k;
+      cells.(o) <- c;
+      if col.valued then begin
+        Float.Array.set col.vals o c.w;
+        c.slot <- Float.of_int o
+      end
+    in
+    let i = ref (s - 1) and j = ref (m - 1) and o = ref (n - 1) in
+    while !j >= 0 do
+      if !i >= 0 && keys.(!i) > tkeys.(!j) then begin
+        place !o keys.(!i) cells.(!i);
+        decr i
+      end
+      else begin
+        place !o tkeys.(!j) tcells.(!j);
+        decr j
+      end;
+      decr o
+    done
+  end;
+  col.sorted <- n
+
+let seal_instance inst =
+  seal inst.pps;
+  seal inst.binary
+
+(* The sample half of [apply]: key [key], cell [c], has just reached
+   its accumulated weight ([first] on its first record). Every sample is
+   a function of (weight, seed) alone, so feeding each key's final
+   weight through here once rebuilds them exactly — which is how
+   [install_summary] restores an instance from its weights. *)
+let sample_key seeds inst ~first key c =
+  let v = c.w in
   let u = Seeds.seed seeds ~instance:inst.id ~key in
   (* Same inclusion predicate as Poisson.pps_sample; monotone in v, so
-     once in, a key only has its recorded value refreshed. *)
-  if v >= u *. inst.icfg.tau then Hashtbl.replace inst.pps_tbl key v;
+     once in, a key only has its sampled value refreshed. *)
+  if c.slot >= 0. then Float.Array.set inst.pps.vals (Float.to_int c.slot) v
+  else if v >= u *. inst.icfg.tau then append inst.pps key c;
   (* Binary support sample: decided once, on the key's first record. *)
-  if first && u <= inst.icfg.p then Hashtbl.replace inst.binary_tbl key ();
+  if first && u <= inst.icfg.p then append inst.binary key c;
   bk_update inst ~u key v
 
 (* Key [key] now has weight [v], stamped [stamp]. *)
@@ -190,10 +295,11 @@ let set_weight seeds inst ~stamp key v =
   | c ->
       c.w <- v;
       c.stamp <- stamp;
-      sample_key seeds inst ~first:false key v
+      sample_key seeds inst ~first:false key c
   | exception Not_found ->
-      Hashtbl.add inst.weights key { w = v; stamp };
-      sample_key seeds inst ~first:true key v
+      let c = { w = v; stamp; slot = -1. } in
+      Hashtbl.add inst.weights key c;
+      sample_key seeds inst ~first:true key c
 
 let apply seeds inst key w =
   inst.i_records <- inst.i_records + 1;
@@ -201,13 +307,13 @@ let apply seeds inst key w =
   let stamp = Float.of_int inst.i_records in
   match Hashtbl.find inst.weights key with
   | c ->
-      let v = c.w +. w in
-      c.w <- v;
+      c.w <- c.w +. w;
       c.stamp <- stamp;
-      sample_key seeds inst ~first:false key v
+      sample_key seeds inst ~first:false key c
   | exception Not_found ->
-      Hashtbl.add inst.weights key { w; stamp };
-      sample_key seeds inst ~first:true key w
+      let c = { w; stamp; slot = -1. } in
+      Hashtbl.add inst.weights key c;
+      sample_key seeds inst ~first:true key c
 
 (* --- sharded ingest --- *)
 
@@ -221,6 +327,9 @@ let push shard r =
   go ();
   Atomic.incr shard.depth
 
+(* The drain applies its backlog, then seals the columns of the
+   shard's instances: the shard's task is their only writer, and reads
+   come after the flush, so they always see sorted columns. *)
 let drain t shard =
   match Atomic.exchange shard.mailbox [] with
   | [] -> ()
@@ -229,6 +338,9 @@ let drain t shard =
       let n = List.length batch in
       ignore (Atomic.fetch_and_add shard.depth (-n));
       List.iter (fun r -> apply t.t_seeds r.r_inst r.r_key r.r_weight) batch;
+      List.iter
+        (fun inst -> if shard_of t inst == shard then seal_instance inst)
+        t.rev_instances;
       shard.applied <- shard.applied + n;
       Numerics.Obs.count ~by:n "server.shard.applied"
 
@@ -356,30 +468,32 @@ let records inst = inst.i_records
 let volume inst = inst.i_volume
 let cardinality inst = Hashtbl.length inst.weights
 
-(* Every export below is sorted by [by_key] or [sorted_keys]: hashtable
-   iteration order depends on insertion history, so anything emitted to
-   a snapshot, a STATS response or a merge payload is sorted first —
-   byte-stable regardless of ingestion order (regression-tested by
-   diffing snapshots of permuted streams). *)
+(* Every export below is sorted by [by_key]: hashtable iteration order
+   depends on insertion history, so anything emitted to a snapshot or a
+   merge payload is sorted first — byte-stable regardless of ingestion
+   order (regression-tested by diffing snapshots of permuted streams). *)
 let by_key entries =
   List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) entries
-
-let sorted_entries tbl =
-  by_key (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let sorted_weights inst =
   by_key (Hashtbl.fold (fun k c acc -> (k, c.w) :: acc) inst.weights [])
 
-let sorted_keys tbl =
-  Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort Int.compare
-
 let to_instance inst = Sampling.Instance.of_assoc (sorted_weights inst)
 
+(* The sealed prefix: after a flush, the whole column. *)
+let view col =
+  { Aggregates.Column.keys = col.keys; vals = col.vals; len = col.sorted }
+
+let pps_column inst = view inst.pps
+let binary_column inst = view inst.binary
+
 let pps_sample inst =
+  let c = pps_column inst in
   {
     Sampling.Poisson.instance_id = inst.id;
     tau = inst.icfg.tau;
-    entries = sorted_entries inst.pps_tbl;
+    entries =
+      List.init c.len (fun i -> (c.keys.(i), Float.Array.get c.vals i));
   }
 
 let bottom_k inst =
@@ -408,7 +522,11 @@ let bottom_k inst =
     threshold;
   }
 
-let binary_sample inst = sorted_keys inst.binary_tbl
+let bottom_k_size inst = min inst.icfg.k (Hashtbl.length inst.bk_rank)
+
+let binary_sample inst =
+  let c = binary_column inst in
+  List.init c.len (fun i -> c.keys.(i))
 
 (* --- mergeable summary export / install (cluster mode) --- *)
 
@@ -461,8 +579,8 @@ let install_summary t s =
           weights = Hashtbl.create (max 1024 (List.length s.s_weights));
           i_records = s.s_records;
           i_volume = s.s_volume;
-          pps_tbl = Hashtbl.create 256;
-          binary_tbl = Hashtbl.create 256;
+          pps = column ~valued:true;
+          binary = column ~valued:false;
           bk_set = RankSet.empty;
           bk_rank = Hashtbl.create 256;
         }
@@ -471,6 +589,7 @@ let install_summary t s =
       List.iter
         (fun (key, v) -> set_weight t.t_seeds inst ~stamp key v)
         s.s_weights;
+      seal_instance inst;
       Hashtbl.add t.by_name s.s_name inst;
       let rec insert = function
         | i :: rest when i.id > inst.id -> i :: insert rest
@@ -524,6 +643,7 @@ let apply_delta t s =
             List.iter
               (fun (key, v) -> set_weight t.t_seeds inst ~stamp key v)
               s.s_weights;
+            seal_instance inst;
             Ok inst)
 
 (* A new instance is the empty summary at the next id. *)

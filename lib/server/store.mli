@@ -24,6 +24,23 @@
     only counters and weights, and {!install_summary} rebuilds the
     samples with the same per-key code the ingest path runs.
 
+    {2 Resident sample columns}
+
+    The PPS and binary samples are kept as resident key-sorted columns
+    ({!Aggregates.Column.t}), which every query walks as they are
+    ({!pps_column}, {!binary_column}). Both samples only grow, so no
+    membership table is needed: a key enters the PPS column exactly when
+    its weight crosses [u·tau], and its sampled value is then always its
+    current weight, written in place by each later record; a key enters
+    the binary column on its first record when [u ≤ p]. Entrants go to a
+    tail, which is sorted and merged into the sorted prefix — O(n +
+    m log m), once per entering key, never per query — at the end of the
+    shard task's drain that applied them (so by the shard's own domain,
+    the instance's only writer), and at the end of {!install_summary}
+    and {!apply_delta}. Reads after a {!flush} therefore see whole,
+    sorted columns and never write. A restore appends its keys in
+    ascending order, so its tail needs no sort.
+
     Seeds are recorded {!Sampling.Seeds} seeds — shared or independent
     mode — so estimator-side seed recomputation works unchanged and
     summaries are reproducible from [(master, instance id)].
@@ -37,7 +54,7 @@
     arrival order. Per-instance application order therefore equals
     stream order whatever the shard or domain count — summaries are
     {e bit-identical} across [shards ∈ {1, 2, 4, …}] (tested). Reads
-    ({!pps_sample} etc.) are only meaningful after a {!flush}; the
+    ({!pps_column} etc.) are only meaningful after a {!flush}; the
     {!Engine} flushes before every query. *)
 
 type config = {
@@ -179,16 +196,31 @@ val cardinality : instance -> int
 val to_instance : instance -> Sampling.Instance.t
 (** Materialize the accumulated weights (O(keys)). *)
 
+val pps_column : instance -> Aggregates.Column.t
+(** The live PPS sample as its resident column: keys ascending, each
+    with its current weight — O(1), no copy. The arrays are the store's
+    own: read them before the next {!flush}, never write them. *)
+
+val binary_column : instance -> Aggregates.Column.t
+(** The live binary support sample ([u(h) ≤ p]) as its resident
+    key-only column, keys ascending — O(1), no copy, same terms as
+    {!pps_column}. *)
+
 val pps_sample : instance -> Sampling.Poisson.pps
-(** The live PPS sample — equal to [Sampling.Poisson.pps_sample seeds
-    ~instance:(id inst) ~tau] of the accumulated instance. *)
+(** {!pps_column} as a list sample (O(sample)) — equal to
+    [Sampling.Poisson.pps_sample seeds ~instance:(id inst) ~tau] of the
+    accumulated instance. *)
 
 val bottom_k : instance -> Sampling.Bottom_k.t
 (** The live bottom-k (PPS-rank) sample — equal to
     [Sampling.Bottom_k.sample] of the accumulated instance. *)
 
+val bottom_k_size : instance -> int
+(** The length of {!bottom_k}'s entries, in O(1): [min k] and the
+    working-set size. *)
+
 val binary_sample : instance -> int list
-(** Support keys with [u(h) ≤ p], ascending — equal to
+(** {!binary_column}'s keys as a list — equal to
     [Aggregates.Distinct.sample_binary] of the accumulated instance. *)
 
 (** {2 Mergeable summaries (cluster mode)}

@@ -27,3 +27,32 @@ let assert_no_alloc ?(runs = 50_000) ?(warmup = 100) name (f : unit -> unit) =
       Alcotest.failf "%s: allocated %.0f minor words over %d calls (%.2f/call)"
         name delta runs (delta /. float_of_int runs)
   end
+
+(* Minor words one call of [f] allocates, averaged over [runs] calls
+   after [warmup] ones. *)
+let minor_words_per_call ?(runs = 20) ?(warmup = 3) f =
+  for _ = 1 to warmup do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int runs
+
+(* [assert_same_alloc name cases]: every thunk allocates the same minor
+   words per call — e.g. one walk over inputs of different sizes, which
+   then allocates nothing per element. Native code only, like
+   [assert_no_alloc]. *)
+let assert_same_alloc name cases =
+  if is_native then
+    match List.map (fun (l, f) -> (l, minor_words_per_call f)) cases with
+    | [] -> ()
+    | (label0, w0) :: rest ->
+        List.iter
+          (fun (label, w) ->
+            if w <> w0 then
+              Alcotest.failf "%s: %.1f minor words per call at %s, %.1f at %s"
+                name w0 label0 w label)
+          rest
+  else List.iter (fun (_, f) -> f ()) cases

@@ -1241,6 +1241,30 @@ let test_flat_ht_bit_identity () =
     check_bits "ht oblivious" (Ht.max_oblivious o) (Evalbuf.result buf)
   done
 
+let test_flat_min_pps () =
+  let rng = Numerics.Prng.create ~seed:75 () in
+  List.iter
+    (fun taus ->
+      let r = Array.length taus in
+      let buf = Evalbuf.create ~r_max:r in
+      for trial = 1 to 400 do
+        let v =
+          Array.init r (fun i ->
+              if (trial + i) mod 7 = 0 then 0.
+              else 2. *. taus.(i) *. Numerics.Prng.float rng)
+        in
+        let o = OP.draw rng ~taus v in
+        Evalbuf.load_pps buf o;
+        Ht.Flat.min_pps_into ~taus buf ~dst:buf.Evalbuf.out ~di:0;
+        check_bits "ht min pps" (Ht.min_pps o) (Evalbuf.result buf)
+      done)
+    [ [| 5.; 3. |]; [| 4.; 1.; 9. |] ];
+  let taus = [| 5.; 3. |] in
+  let bufp = Evalbuf.create ~r_max:2 in
+  Evalbuf.load_pps bufp (OP.of_seeds ~taus ~seeds:[| 0.3; 0.2 |] [| 2.5; 1. |]);
+  Allocheck.assert_no_alloc "Ht.Flat.min_pps_into" (fun () ->
+      Ht.Flat.min_pps_into ~taus bufp ~dst:bufp.Evalbuf.out ~di:0)
+
 let test_or_table_bit_identity () =
   let module T = Or_oblivious.Table in
   let states =
@@ -1465,6 +1489,8 @@ let () =
           Alcotest.test_case "Fig 3 cases bit-identity + edges" `Quick
             test_flat_estimate_det_cases;
           Alcotest.test_case "HT bit-identity" `Quick test_flat_ht_bit_identity;
+          Alcotest.test_case "HT min bit-identity + zero allocation" `Quick
+            test_flat_min_pps;
           Alcotest.test_case "OR^(L) r=2 table bit-identity" `Quick
             test_or_table_bit_identity;
           Alcotest.test_case "zero allocation per call" `Quick

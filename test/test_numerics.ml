@@ -168,6 +168,32 @@ let test_combine_noncommutative () =
   Alcotest.(check bool) "combine order matters" true
     (Hashing.combine 1L 2L <> Hashing.combine 2L 1L)
 
+(* The store-into seed is the seed, bit for bit, and allocates nothing;
+   the inlined finalizer is SplitMix64's. *)
+let test_uniform_int_into () =
+  let dst = Float.Array.make 2 0. in
+  List.iter
+    (fun salt ->
+      for k = -2_000 to 20_000 do
+        Hashing.uniform_int_into ~salt k dst 1;
+        if
+          Int64.bits_of_float (Float.Array.get dst 1)
+          <> Int64.bits_of_float (Hashing.uniform_int ~salt k)
+        then
+          Alcotest.failf "uniform_int_into differs at salt %Ld, key %d" salt k
+      done)
+    [ 0L; 77L; Hashing.salt_of_instance ~master:42 3; Int64.min_int ];
+  List.iter
+    (fun x ->
+      Alcotest.(check int64) "mix64 is SplitMix64's" (Prng.SplitMix64.mix x)
+        (Hashing.mix64 x))
+    [ 0L; 1L; -1L; 0x9E3779B97F4A7C15L; Int64.max_int; Int64.min_int ];
+  let salt = Hashing.salt_of_instance ~master:42 1 in
+  let key = ref 0 in
+  Allocheck.assert_no_alloc "Hashing.uniform_int_into" (fun () ->
+      incr key;
+      Hashing.uniform_int_into ~salt !key dst 0)
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1174,6 +1200,8 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_uniform_int_uniformity;
           Alcotest.test_case "instance salts" `Quick test_salt_of_instance_distinct;
           Alcotest.test_case "combine order" `Quick test_combine_noncommutative;
+          Alcotest.test_case "store-into seed: same bits, no allocation" `Quick
+            test_uniform_int_into;
         ] );
       ( "stats",
         [

@@ -1394,6 +1394,397 @@ let test_e2e_unknown_verb_keeps_connection () =
   P.Conn.close conn;
   Server.Daemon.join daemon
 
+(* ------------------------------------------------------------------ *)
+(* Resident sample columns                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every QUERY walks the store's resident key-sorted columns. Under
+   random ingest/flush/query interleavings, in both seed modes, at
+   r = 1, 2, 3 and 1, 2, 4 shards, and again after a snapshot restore
+   and on a replica advanced by [Store.apply_delta]: the columns must
+   equal the batch samplers of the accumulated instance, and every
+   answer must be byte-identical to the list-based reference path
+   below, which shares no code with the walk. *)
+
+type col_op = Rec of int * int * float | Flush_op | Query_op | Mark_op
+
+let col_names = [| "c0"; "c1"; "c2" |]
+let col_taus = [| 20.; 35.; 50. |]
+let col_probs mode i =
+  match mode with
+  | Sampling.Seeds.Shared -> 0.3
+  | Sampling.Seeds.Independent -> [| 0.3; 0.5; 0.4 |].(i)
+
+let fail_report fmt = QCheck.Test.fail_reportf fmt
+
+(* The five classes by membership sets, one record per key: the
+   pre-column [Distinct.classify]. *)
+let classify_ref seeds ~ids:(id1, id2) ~p1 ~p2 s1 s2 =
+  let set1 = ISet.of_list s1 and set2 = ISet.of_list s2 in
+  ISet.fold
+    (fun h (c : Aggregates.Distinct.classes) ->
+      let in1 = ISet.mem h set1 and in2 = ISet.mem h set2 in
+      let u1 = Sampling.Seeds.seed seeds ~instance:id1 ~key:h in
+      let u2 = Sampling.Seeds.seed seeds ~instance:id2 ~key:h in
+      if in1 && in2 then { c with f11 = c.f11 + 1 }
+      else if in1 then
+        if u2 <= p2 then { c with f10 = c.f10 + 1 }
+        else { c with f1q = c.f1q + 1 }
+      else if u1 <= p1 then { c with f01 = c.f01 + 1 }
+      else { c with fq1 = c.fq1 + 1 })
+    (ISet.union set1 set2)
+    { f1q = 0; fq1 = 0; f11 = 0; f10 = 0; f01 = 0 }
+
+(* OR^(L) (the Theorem 4.1 solver on oblivious outcome records) and HT
+   over r binary samples: the pre-column [Distinct.Multi]. *)
+let multi_ref seeds ~ids ~probs samples =
+  let r = Array.length probs in
+  let g = Estcore.Max_oblivious.General.create ~probs in
+  let sets = Array.map ISet.of_list samples in
+  let union = Array.fold_left ISet.union ISet.empty sets in
+  let inv = 1. /. Array.fold_left ( *. ) 1. probs in
+  ISet.fold
+    (fun h (l, ht) ->
+      let below i =
+        Sampling.Seeds.seed seeds ~instance:ids.(i) ~key:h <= probs.(i)
+      in
+      let values =
+        Array.init r (fun i ->
+            if ISet.mem h sets.(i) then Some 1.
+            else if below i then Some 0.
+            else None)
+      in
+      ( l
+        +. Estcore.Max_oblivious.General.estimate g
+             { Sampling.Outcome.Oblivious.probs; values },
+        if List.for_all below (List.init r Fun.id) then ht +. inv else ht ))
+    union (0., 0.)
+
+(* The batch samplers of an instance's accumulated weights. *)
+let batch_samples st inst =
+  let seeds = Store.seeds st in
+  let cfg = Store.instance_config inst in
+  let acc = Store.to_instance inst in
+  ( Sampling.Poisson.pps_sample seeds ~instance:(Store.id inst)
+      ~tau:cfg.Store.tau acc,
+    Aggregates.Distinct.sample_binary seeds ~p:cfg.Store.p
+      ~instance:(Store.id inst) acc )
+
+let column_entries (c : Aggregates.Column.t) =
+  List.init c.len (fun i -> (c.keys.(i), Float.Array.get c.vals i))
+
+let column_keys (c : Aggregates.Column.t) =
+  List.init c.len (fun i -> c.keys.(i))
+
+let check_columns st =
+  List.iter
+    (fun inst ->
+      let pps, binary = batch_samples st inst in
+      if column_entries (Store.pps_column inst) <> pps.Sampling.Poisson.entries
+      then
+        fail_report "%s: PPS column differs from the batch sample"
+          (Store.name inst);
+      if column_keys (Store.binary_column inst) <> binary then
+        fail_report "%s: binary column differs from the batch sample"
+          (Store.name inst);
+      if
+        Store.bottom_k_size inst
+        <> List.length (Store.bottom_k inst).Sampling.Bottom_k.entries
+      then fail_report "%s: bottom-k size" (Store.name inst))
+    (Store.instances st)
+
+(* The full QUERY response of the list-based reference path. *)
+let reference_answer st kind insts =
+  let seeds = Store.seeds st in
+  let r = List.length insts in
+  let samples = List.map (batch_samples st) insts in
+  let ids = Array.of_list (List.map Store.id insts) in
+  let probs =
+    Array.of_list (List.map (fun i -> (Store.instance_config i).Store.p) insts)
+  in
+  let ps =
+    {
+      Aggregates.Sum_agg.seeds;
+      taus =
+        Array.of_list
+          (List.map (fun i -> (Store.instance_config i).Store.tau) insts);
+      samples = Array.of_list (List.map fst samples);
+    }
+  in
+  let binaries = Array.of_list (List.map snd samples) in
+  let head e name = [ ("estimate", P.jfloat e); ("estimator", P.jstr name) ] in
+  let sum est = Aggregates.Sum_agg.estimate ps ~est ~select:(fun _ -> true) in
+  let degraded = ref 0 in
+  let fields =
+    match (kind, (Store.config st).Store.mode) with
+    | P.L1, Sampling.Seeds.Shared when r > 2 ->
+        Error (Printf.sprintf "l1 takes exactly two instances (got %d)" r)
+    | ( (P.Max | P.Dominance | P.Union | P.Intersection | P.Jaccard | P.L1),
+        Shared ) ->
+        let s = Aggregates.Similarity.sums ps ~select:(fun _ -> true) in
+        let u = s.Aggregates.Similarity.union_hat in
+        let i = s.Aggregates.Similarity.inter_hat in
+        let name, v =
+          match kind with
+          | P.Max -> ("max-lstar", u)
+          | P.Dominance -> ("maxdom-lstar", u)
+          | P.Union -> ("union-lstar", u)
+          | P.Intersection -> ("intersection-lstar", i)
+          | P.Jaccard -> ("jaccard-lstar", Aggregates.Similarity.jaccard s)
+          | _ -> ("l1-lstar", Aggregates.Similarity.l1 s)
+        in
+        Ok
+          (head v name
+          @ [ ("union", P.jfloat u); ("intersection", P.jfloat i) ])
+    | (P.Or | P.Distinct), Shared ->
+        let union =
+          Array.fold_left (fun a s -> ISet.union a (ISet.of_list s)) ISet.empty
+            binaries
+        in
+        Ok
+          (head
+             (float_of_int (ISet.cardinal union) /. probs.(0))
+             (if kind = P.Or then "or-coordinated" else "distinct-coordinated"))
+    | (P.Max | P.Dominance), Independent ->
+        let ht = sum Estcore.Ht.max_pps in
+        let pre =
+          if r = 2 then sum Estcore.Max_pps.l else ht
+        in
+        let l_name, ht_name =
+          if kind = P.Max then ("max-l", "max-ht")
+          else ("maxdom-l", "maxdom-ht")
+        in
+        let head = head pre (if r = 2 then l_name else ht_name) in
+        if kind = P.Max then Ok (head @ [ ("ht", P.jfloat ht) ])
+        else
+          Ok
+            (head
+            @ [ ("max_ht", P.jfloat ht);
+                ("min_ht", P.jfloat (sum Estcore.Ht.min_pps)) ])
+    | (P.Or | P.Distinct), Independent when r = 2 -> (
+        let p1 = probs.(0) and p2 = probs.(1) in
+        let c =
+          classify_ref seeds ~ids:(ids.(0), ids.(1)) ~p1 ~p2 binaries.(0)
+            binaries.(1)
+        in
+        let module D = Aggregates.Distinct in
+        match kind with
+        | P.Or ->
+            let closed = D.l_estimate c ~p1 ~p2 in
+            let estimate, provenance =
+              match Engine.or_flat_tables ~p1 ~p2 with
+              | Ok (table, _) ->
+                  ( eval_or_table table seeds ~ids:(ids.(0), ids.(1)) ~p1 ~p2
+                      ~s1:binaries.(0) ~s2:binaries.(1),
+                    "designer" )
+              | Error _ ->
+                  degraded := 1;
+                  (closed, "closed-form")
+            in
+            Ok
+              (head estimate "or-l"
+              @ [ ("provenance", P.jstr provenance);
+                  ("closed_form", P.jfloat closed);
+                  ("ht", P.jfloat (D.ht_estimate c ~p1 ~p2)) ])
+        | _ ->
+            Ok
+              (head (D.l_estimate c ~p1 ~p2) "distinct-l"
+              @ [ ("u", P.jfloat (D.u_estimate c ~p1 ~p2));
+                  ("ht", P.jfloat (D.ht_estimate c ~p1 ~p2));
+                  ("f1q", P.jint c.D.f1q); ("fq1", P.jint c.D.fq1);
+                  ("f11", P.jint c.D.f11); ("f10", P.jint c.D.f10);
+                  ("f01", P.jint c.D.f01) ]))
+    | P.Or, Independent ->
+        let l, ht = multi_ref seeds ~ids ~probs binaries in
+        Ok
+          (head l "or-multi-l"
+          @ [ ("provenance", P.jstr "general-solver"); ("ht", P.jfloat ht) ])
+    | P.Distinct, Independent ->
+        let l, ht = multi_ref seeds ~ids ~probs binaries in
+        Ok (head l "distinct-multi-l" @ [ ("ht", P.jfloat ht) ])
+    | (P.Union | P.Intersection | P.Jaccard | P.L1), Independent ->
+        Error
+          "similarity queries need coordinated samples: restart with shared \
+           seeds (serve --shared-seeds)"
+  in
+  Result.map
+    (fun fields ->
+      P.ok_fields
+        (("kind", P.jstr (P.query_kind_name kind))
+        :: ( "instances",
+             "["
+             ^ String.concat ","
+                 (List.map (fun i -> P.jstr (Store.name i)) insts)
+             ^ "]" )
+        :: ("r", P.jint r)
+        :: fields
+        @ [ ("degradations", P.jint !degraded) ]))
+    fields
+
+let all_kinds =
+  [ P.Max; P.Or; P.Distinct; P.Dominance; P.Jaccard; P.L1; P.Union;
+    P.Intersection ]
+
+let check_answers st =
+  Store.flush st;
+  let e = Engine.create st in
+  let insts = Store.instances st in
+  List.iter
+    (fun insts ->
+      let names = List.map Store.name insts in
+      List.iter
+        (fun kind ->
+          let served = Engine.query e kind names in
+          let expected = reference_answer st kind insts in
+          if served <> expected then
+            let show = function Ok s -> s | Error m -> "error: " ^ m in
+            fail_report "QUERY %s %s:\n served   %s\n expected %s"
+              (P.query_kind_name kind) (String.concat " " names) (show served)
+              (show expected))
+        all_kinds)
+    (if List.length insts > 1 then [ insts; List.rev insts ] else [ insts ])
+
+let check_store st =
+  Store.flush st;
+  check_columns st;
+  check_answers st
+
+(* The router's path: a replica installed from full exports, then
+   advanced by the keys changed since each instance's cursor, both
+   through [Merge] as the router's resident store is. *)
+let advance_replica replica ~cfg ~pool st =
+  Store.flush st;
+  match !replica with
+  | None ->
+      let rs = Store.create ~pool cfg in
+      List.iter
+        (fun i ->
+          match Server.Merge.install rs [ Store.export_summary i ] with
+          | Ok _ -> ()
+          | Error m -> fail_report "install: %s" m)
+        (Store.instances st);
+      replica := Some (rs, List.map Store.records (Store.instances st))
+  | Some (rs, cursors) ->
+      List.iter2
+        (fun i since ->
+          let delta = Store.export_summary ~since i in
+          match Server.Merge.apply_deltas rs [ delta ] with
+          | Ok _ -> ()
+          | Error m -> fail_report "apply_delta: %s" m)
+        (Store.instances st) cursors;
+      replica := Some (rs, List.map Store.records (Store.instances st))
+
+let col_case_gen =
+  QCheck.Gen.(
+    bool >>= fun shared ->
+    int_range 1 3 >>= fun r ->
+    oneofl [ 1; 2; 4 ] >>= fun shards ->
+    list_size (int_range 10 300)
+      (frequency
+         [
+           ( 24,
+             map3
+               (fun i k w -> Rec (i, k, w))
+               (int_bound (r - 1))
+               (int_range 1 90) (float_range 0.1 40.) );
+           (1, return Flush_op);
+           (1, return Query_op);
+           (1, return Mark_op);
+         ])
+    >>= fun ops -> return (shared, r, shards, ops))
+
+let col_case_print (shared, r, shards, ops) =
+  Printf.sprintf "%s seeds, r = %d, %d shards, %d ops"
+    (if shared then "shared" else "independent")
+    r shards (List.length ops)
+
+let test_columns_property () =
+  let pool = Numerics.Pool.create ~domains:2 () in
+  let prop (shared, r, shards, ops) =
+    let mode =
+      if shared then Sampling.Seeds.Shared else Sampling.Seeds.Independent
+    in
+    let cfg =
+      { Store.default_config with shards; master = 77; mode; flush_every = 64 }
+    in
+    let st = Store.create ~pool cfg in
+    for i = 0 to r - 1 do
+      ignore
+        (create_exn st ~name:col_names.(i) ~tau:col_taus.(i) ~k:8
+           ~p:(col_probs mode i) ())
+    done;
+    let replica = ref None in
+    List.iter
+      (function
+        | Rec (i, key, weight) -> ingest_exn st ~name:col_names.(i) ~key ~weight
+        | Flush_op -> Store.flush st
+        | Query_op -> check_store st
+        | Mark_op -> advance_replica replica ~cfg ~pool st)
+      ops;
+    check_store st;
+    advance_replica replica ~cfg ~pool st;
+    advance_replica replica ~cfg ~pool st;
+    (match !replica with Some (rs, _) -> check_store rs | None -> ());
+    (match Snapshot.of_string_r ~pool ~shards (Snapshot.to_string st) with
+    | Ok restored -> check_store restored
+    | Error e -> fail_report "restore: %s" e.Sampling.Io.message);
+    true
+  in
+  Fun.protect
+    ~finally:(fun () -> Numerics.Pool.shutdown pool)
+    (fun () ->
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~count:120 ~name:"resident columns"
+           (QCheck.make ~print:col_case_print col_case_gen)
+           prop))
+
+(* A warm walk over resident columns allocates per query, never per
+   key: the same minor words at 1k and at 10k sampled keys. *)
+let test_columns_walk_alloc () =
+  let p = 0.5 in
+  let build n =
+    let st = Store.create cfg_one in
+    ignore (create_exn st ~name:"a" ~tau:1. ~k:8 ~p ());
+    ignore (create_exn st ~name:"b" ~tau:1. ~k:8 ~p ());
+    (* tau = 1 with unit weights samples every key; p = 1/2 keeps about
+       half in the binary samples. The two key sets overlap by half. *)
+    for key = 1 to 2 * n do
+      ingest_exn st ~name:"a" ~key ~weight:1.;
+      ingest_exn st ~name:"b" ~key:(key + n) ~weight:1.
+    done;
+    Store.flush st;
+    let insts = Store.instances st in
+    let ids = Array.of_list (List.map Store.id insts) in
+    let pps = Array.of_list (List.map Store.pps_column insts) in
+    let bin = Array.of_list (List.map Store.binary_column insts) in
+    (Store.seeds st, ids, pps, bin)
+  in
+  let flat =
+    match Engine.or_flat_tables ~p1:p ~p2:p with
+    | Ok (_, flat) -> flat
+    | Error m -> Alcotest.failf "derive: %s" m
+  in
+  let select _ = true in
+  let taus = [| 1.; 1. |] in
+  let walks n =
+    let seeds, ids, pps, bin = build n in
+    ( (fun () ->
+        ignore (Aggregates.Sum_agg.max_columns seeds ~ids ~taus pps ~select)),
+      (fun () ->
+        ignore
+          (Aggregates.Distinct.classify_columns ~table:flat seeds
+             ~ids:(ids.(0), ids.(1)) ~p1:p ~p2:p bin.(0) bin.(1) ~select)),
+      fun () -> ignore (Aggregates.Similarity.sums_columns ~taus pps ~select) )
+  in
+  let max1k, or1k, lstar1k = walks 1_000 in
+  let max10k, or10k, lstar10k = walks 10_000 in
+  Allocheck.assert_same_alloc "max walk (HT + L)"
+    [ ("1k keys", max1k); ("10k keys", max10k) ];
+  Allocheck.assert_same_alloc "or walk (table + classes)"
+    [ ("1k keys", or1k); ("10k keys", or10k) ];
+  Allocheck.assert_same_alloc "L* walk (union + intersection)"
+    [ ("1k keys", lstar1k); ("10k keys", lstar10k) ]
+
 let () =
   Alcotest.run "server"
     [
@@ -1452,6 +1843,13 @@ let () =
             test_engine_shared_unequal_p_refused;
           Alcotest.test_case "shared seeds: answers unbiased within 4 se"
             `Quick test_engine_shared_seed_unbiased;
+        ] );
+      ( "columns",
+        [
+          Alcotest.test_case "walks equal the list reference path" `Quick
+            test_columns_property;
+          Alcotest.test_case "warm walks allocate per query, not per key"
+            `Quick test_columns_walk_alloc;
         ] );
       ( "e2e",
         [

@@ -113,6 +113,16 @@ if [ -n "$varopt_hits" ]; then
     status=1
 fi
 
+# The bottom-k working set was the same kind of state: a rank set and a
+# rank table fed on every record, read by no query (STATS bk_size is
+# min k and the key count; Store.bottom_k draws the sample on demand).
+bk_hits=$(grep -rnE 'RankSet|bk_update' "$root/lib/server" --include='*.ml' 2>/dev/null)
+if [ -n "$bk_hits" ]; then
+    echo "lint: a bottom-k working set is banned under lib/server — the store keeps only state a query reads:" >&2
+    echo "$bk_hits" >&2
+    status=1
+fi
+
 # Codec discipline: a summary has one codec, Merge.payload /
 # Merge.of_lines, and every snapshot section (file, WAL checkpoint,
 # SYNC) is that payload. The retired `instance <name> …` section header
@@ -132,6 +142,16 @@ mode_hits=$(grep -rnE 'let[[:space:]]+mode_(name|of_name)[^_[:alnum:]]' \
 if [ -n "$mode_hits" ]; then
     echo "lint: seed-mode names are defined once, in lib/server/store.ml:" >&2
     echo "$mode_hits" >&2
+    status=1
+fi
+
+# WAL bytes are written number by number with Protocol.add_int /
+# add_hex: a Printf %h per record cost most of every frame's encoding.
+wal_printf_hits=$(grep -nE 'printf[[:space:]]+"[^"]*%[-+ #0-9.]*h' \
+    "$root/lib/server/wal.ml" 2>/dev/null)
+if [ -n "$wal_printf_hits" ]; then
+    echo "lint: Printf %h formats are banned in lib/server/wal.ml — write floats with Protocol.add_hex:" >&2
+    echo "$wal_printf_hits" >&2
     status=1
 fi
 

@@ -10,28 +10,53 @@ module F = Numerics.Faultify
 
 (* --- CRC-32 (IEEE 802.3, reflected), table-driven ------------------- *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+(* The running register is a native int holding 32 bits, so the loop
+   allocates nothing; only the result is boxed. Eight bytes are folded
+   per step ("slicing-by-8"): [tables.(k * 256 + b)] is the CRC update of
+   byte [b] followed by [k] zero bytes, so the eight bytes' lookups are
+   independent and their results xor together. *)
+let tables =
+  let t = Array.make (8 * 256) 0 in
+  for b = 0 to 255 do
+    let c = ref b in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(b) <- !c
+  done;
+  for k = 1 to 7 do
+    for b = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + b) in
+      t.((k * 256) + b) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done
+  done;
+  t
+
+let table k b = Array.unsafe_get tables ((k * 256) + (b land 0xFF))
+let word s i = Int32.to_int (String.get_int32_le s i) land 0xFFFFFFFF
 
 let crc32_update crc s pos len =
-  let table = Lazy.force crc_table in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Durable.crc32_update";
+  let c = ref ((Int32.to_int crc land 0xFFFFFFFF) lxor 0xFFFFFFFF) in
+  let i = ref pos and stop = pos + len in
+  while !i + 8 <= stop do
+    let lo = !c lxor word s !i and hi = word s (!i + 4) in
+    c :=
+      table 7 lo
+      lxor table 6 (lo lsr 8)
+      lxor table 5 (lo lsr 16)
+      lxor table 4 (lo lsr 24)
+      lxor table 3 hi
+      lxor table 2 (hi lsr 8)
+      lxor table 1 (hi lsr 16)
+      lxor table 0 (hi lsr 24);
+    i := !i + 8
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  for j = !i to stop - 1 do
+    c := table 0 (!c lxor Char.code (String.unsafe_get s j)) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let crc32 s = crc32_update 0l s 0 (String.length s)
 

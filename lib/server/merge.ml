@@ -169,48 +169,75 @@ let parse_header line =
             got %S"
            line)
 
-(* Strict parser: weights strictly ascending by key (the byte-stability
-   contract doubles as a corruption and duplicate check). *)
-let parse_section line items =
-  match items with
-  | [] -> Error "empty summary payload"
-  | header :: rest ->
-      let* base = parse_header (line header) in
-      let rec go acc = function
-        | [] -> Error "truncated summary payload (missing 'end')"
-        | item :: rest -> (
-            match String.split_on_char ' ' (line item) with
-            | [ "end" ] ->
-                Ok ({ base with Store.s_weights = List.rev acc }, rest)
-            | [ "w"; key; v ] -> (
-                (* Matches, not let*: this runs once per key of every
-                   PULL and snapshot load. *)
-                match int_field "weight key" key with
-                | Error _ as e -> e
-                | Ok key -> (
-                    match pos_float_field "weight" v with
-                    | Error _ as e -> e
-                    | Ok v -> (
-                        match acc with
-                        | (prev, _) :: _ when key <= prev ->
-                            Error
-                              (Printf.sprintf "weight keys out of order at %d"
-                                 key)
-                        | _ -> go ((key, v) :: acc) rest)))
-            | _ ->
-                Error
-                  (Printf.sprintf
-                     "bad summary line %S (expected 'w <key> <weight>' or \
-                      'end')"
-                     (line item)))
-      in
-      go [] rest
+(* --- reading a payload ---
 
-let of_lines lines =
-  match parse_section Fun.id lines with
-  | Ok (s, []) -> Ok s
-  | Ok (_, _ :: _) -> Error "trailing garbage after 'end'"
-  | Error _ as e -> e
+   A payload is read one line at a time, in place: a snapshot walks its
+   whole text without cutting it into lines, and a PULL reply hands over
+   its lines as they came. The weights are strictly ascending by key
+   (the byte-stability contract doubles as a corruption and duplicate
+   check). A weight is a float > 0: +infinity included, since finite
+   records can sum past [max_float] as the volume can, and NaN refused. *)
+
+type section = { base : Store.summary; mutable rev : (int * float) list }
+type step = More | Done of Store.summary | Bad of string
+
+let section header =
+  Result.map (fun base -> { base; rev = [] }) (parse_header header)
+
+let bad_line s pos stop =
+  Bad
+    (Printf.sprintf
+       "bad summary line %S (expected 'w <key> <weight>' or 'end')"
+       (String.sub s pos (stop - pos)))
+
+(* The line split at its spaces must be [end] or [w <key> <weight>]. *)
+let section_line sec s pos stop =
+  if stop - pos = 3 && s.[pos] = 'e' && s.[pos + 1] = 'n' && s.[pos + 2] = 'd'
+  then Done { sec.base with Store.s_weights = List.rev sec.rev }
+  else if stop - pos < 2 || s.[pos] <> 'w' || s.[pos + 1] <> ' ' then
+    bad_line s pos stop
+  else
+    let k0 = pos + 2 in
+    let k1 = Protocol.token_end s k0 stop in
+    if k1 = stop || Protocol.token_end s (k1 + 1) stop < stop then
+      bad_line s pos stop
+    else
+      match Protocol.read_int s k0 k1 with
+      | exception Failure _ ->
+          Bad
+            (Printf.sprintf "bad weight key %S (expected an integer)"
+               (String.sub s k0 (k1 - k0)))
+      | key -> (
+          match Protocol.read_hex s (k1 + 1) stop with
+          | exception Failure _ ->
+              Bad
+                (Printf.sprintf "bad weight %S (expected a hex float)"
+                   (String.sub s (k1 + 1) (stop - k1 - 1)))
+          | v when Float.is_nan v || v = neg_infinity ->
+              Bad (Printf.sprintf "weight %g is not finite" v)
+          | v when v <= 0. -> Bad (Printf.sprintf "weight %g must be > 0" v)
+          | v -> (
+              match sec.rev with
+              | (prev, _) :: _ when key <= prev ->
+                  Bad (Printf.sprintf "weight keys out of order at %d" key)
+              | _ ->
+                  sec.rev <- (key, v) :: sec.rev;
+                  More))
+
+let of_lines = function
+  | [] -> Error "empty summary payload"
+  | header :: lines ->
+      let* sec = section header in
+      let rec go = function
+        | [] -> Error "truncated summary payload (missing 'end')"
+        | l :: rest -> (
+            match section_line sec l 0 (String.length l) with
+            | More -> go rest
+            | Bad m -> Error m
+            | Done s when rest = [] -> Ok s
+            | Done _ -> Error "trailing garbage after 'end'")
+      in
+      go lines
 
 (* Build a queryable store from merged summaries: instances are
    installed under their recorded ids (seed derivations match the

@@ -59,17 +59,33 @@ val add_weight_line : Buffer.t -> int -> float -> unit
 
 val of_lines : string list -> (Store.summary, string) result
 (** Strict parse: parameters outside {!Store.validate_config}, keys not
-    strictly ascending, non-finite or non-positive weights, a negative
-    or NaN volume, a missing [end] and trailing garbage are all errors.
-    An infinite volume is accepted: finite weights can sum past
-    [max_float]. *)
+    strictly ascending, NaN, negative-infinite or non-positive weights,
+    a negative or NaN volume, a missing [end] and trailing garbage are
+    all errors. An infinite weight or volume is accepted: finite records
+    can sum past [max_float]. *)
 
-val parse_section :
-  ('a -> string) -> 'a list -> (Store.summary * 'a list, string) result
-(** [parse_section line items]: the payload at the front of [items],
-    each item read as a line by [line], through its [end]; returns the
-    summary and the items after it. {!of_lines} is this plus a check
-    that nothing follows; a snapshot reads its sections with it. *)
+(** {3 Reading a payload in place}
+
+    How {!of_lines} and a snapshot read a payload: the header line
+    starts a {!section}, then each line is fed to {!section_line} as a
+    span of a string, so a large text is never cut into lines. *)
+
+type section
+(** A payload being read: its header and the weights so far. *)
+
+type step =
+  | More  (** a weight line: the payload goes on *)
+  | Done of Store.summary  (** the [end] line: the payload read *)
+  | Bad of string  (** the error {!of_lines} reports for this line *)
+
+val section : string -> (section, string) result
+(** Start reading a payload at its [summary] header line. *)
+
+val section_line : section -> string -> int -> int -> step
+(** [section_line sec s pos stop]: read the payload line
+    [s.[pos .. stop-1]], which must be [end] or [w <key> <weight>] when
+    split at its spaces. Numbers are read in place with
+    {!Protocol.read_int} and {!Protocol.read_hex}. *)
 
 val int_field : string -> string -> (int, string) result
 (** [int_field what token]: the integer field [what]; the [Error] names

@@ -225,25 +225,162 @@ let parse line =
       | "SHUTDOWN", _ -> err "SHUTDOWN takes no arguments"
       | v, _ -> err (Printf.sprintf "unknown request %S" v))
 
+(* --- number readers ---
+
+   The inverses of [add_int] / [add_hex] below, over a token
+   [s.[pos .. stop-1]] read in place, so a scanner walks a whole text
+   without cutting it into lines or tokens. The spellings those writers
+   print are read directly; any other token is copied out and handed to
+   [int_of_string] / [float_of_string], so every reader accepts exactly
+   what those accept, gives the same value and raises the same
+   [Failure]. *)
+
+let check_span what s pos stop =
+  if pos < 0 || stop < pos || stop > String.length s then
+    invalid_arg (Printf.sprintf "Protocol.%s: bad span %d..%d" what pos stop)
+
+let slow_int s pos stop = int_of_string (String.sub s pos (stop - pos))
+
+(* The digits of [s.[first .. stop-1]] after [acc]; the whole token
+   [s.[pos .. stop-1]] goes the slow way at the first non-digit. *)
+let rec digits s pos first stop i acc =
+  if i = stop then if first = pos then acc else -acc
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c ->
+        digits s pos first stop (i + 1) ((10 * acc) + Char.code c - 48)
+    | _ -> slow_int s pos stop
+
+(* [-]<1 to 18 decimal digits>: too few digits to overflow. *)
+let read_int s pos stop =
+  check_span "read_int" s pos stop;
+  let first =
+    if pos < stop && String.unsafe_get s pos = '-' then pos + 1 else pos
+  in
+  if stop - first < 1 || stop - first > 18 then slow_int s pos stop
+  else digits s pos first stop first 0
+
+(* The value of each lower-case hex digit, -1 for every other byte. *)
+let hex_values =
+  Array.init 256 (fun c ->
+      match Char.chr c with
+      | '0' .. '9' -> c - 48
+      | 'a' .. 'f' -> c - 87
+      | _ -> -1)
+
+let slow_hex s pos stop = float_of_string (String.sub s pos (stop - pos))
+
+(* [%h] of a normal float: [-]0x1[.<1 to 13 nibbles>]p<sign><digits>
+   with the exponent in [-1022, 1023]. The 53-bit significand is an
+   exact integer and the scaled result a normal float, so [Float.ldexp]
+   is exact and equals [float_of_string]. Subnormals (lead digit 0),
+   zero and non-finite values take the copying path. *)
+let read_hex s pos stop =
+  check_span "read_hex" s pos stop;
+  let neg = pos < stop && String.unsafe_get s pos = '-' in
+  let i = if neg then pos + 1 else pos in
+  if
+    stop - i < 6
+    || String.unsafe_get s i <> '0'
+    || String.unsafe_get s (i + 1) <> 'x'
+    || String.unsafe_get s (i + 2) <> '1'
+  then slow_hex s pos stop
+  else begin
+    (* [j] walks the token; [frac] collects the fraction's nibbles. *)
+    let j = ref (i + 3) and frac = ref 0 and nibbles = ref 0 in
+    if String.unsafe_get s !j = '.' then begin
+      incr j;
+      let d = ref 0 in
+      while
+        !j < stop
+        && !nibbles <= 13
+        && begin
+             d := hex_values.(Char.code (String.unsafe_get s !j));
+             !d >= 0
+           end
+      do
+        frac := (!frac lsl 4) lor !d;
+        incr nibbles;
+        incr j
+      done
+    end;
+    let fraction_ok =
+      !nibbles <= 13 && (!nibbles > 0 || String.unsafe_get s (i + 3) <> '.')
+    in
+    if
+      (not fraction_ok)
+      || stop - !j < 3
+      || String.unsafe_get s !j <> 'p'
+      || (String.unsafe_get s (!j + 1) <> '+'
+         && String.unsafe_get s (!j + 1) <> '-')
+      || stop - !j > 6
+    then slow_hex s pos stop
+    else begin
+      let exp_neg = String.unsafe_get s (!j + 1) = '-' in
+      let e = ref 0 and ok = ref true in
+      for d = !j + 2 to stop - 1 do
+        match String.unsafe_get s d with
+        | '0' .. '9' as c -> e := (10 * !e) + Char.code c - 48
+        | _ -> ok := false
+      done;
+      let e = if exp_neg then - !e else !e in
+      if (not !ok) || e < -1022 || e > 1023 then slow_hex s pos stop
+      else
+        let m = (1 lsl 52) lor (!frac lsl (4 * (13 - !nibbles))) in
+        let x = Float.ldexp (Float.of_int m) (e - 52) in
+        if neg then -.x else x
+    end
+  end
+
+(* Token scanning for the in-place readers: the characters [String.trim]
+   drops, and the bounds of space-separated tokens. *)
+let is_trim c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+
+let rec skip_spaces s i stop =
+  if i < stop && String.unsafe_get s i = ' ' then skip_spaces s (i + 1) stop
+  else i
+
+let rec token_end s i stop =
+  if i < stop && String.unsafe_get s i <> ' ' then token_end s (i + 1) stop
+  else i
+
 (* A batch body line is "<key> <weight>" — same key/weight grammar and
    validation as INGEST, without re-tokenizing the verb and name n
    times. [line] (1-based body line index) stamps any diagnostic, so a
    NaN/infinite/negative weight deep inside a batch is reported with the
    offending body line, exactly like the single-line path reports the
-   offending tokens. *)
+   offending tokens. The line is read in place, as [parse] reads it: the
+   trimmed text split at runs of spaces, which must give two tokens. *)
 let parse_batch_record ?(line = 0) s =
-  let tokens =
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun t -> t <> "")
-  in
-  (match tokens with
-  | [ key; weight ] ->
-      let* key = parse_int "key" key in
-      let* weight = parse_float "weight" weight in
-      if weight <= 0. then err (Printf.sprintf "weight %g must be > 0" weight)
-      else Ok (key, weight)
-  | _ -> err "batch record takes: <key> <weight>")
-  |> Result.map_error (fun e -> { e with Sampling.Io.line })
+  let stamp message = Error { Sampling.Io.line; message } in
+  let a = ref 0 and b = ref (String.length s) in
+  while !a < !b && is_trim s.[!a] do incr a done;
+  while !b > !a && is_trim s.[!b - 1] do decr b done;
+  let stop = !b in
+  let k0 = !a in
+  let k1 = token_end s k0 stop in
+  let w0 = skip_spaces s k1 stop in
+  let w1 = token_end s w0 stop in
+  if k0 = k1 || w0 = w1 || skip_spaces s w1 stop <> stop then
+    stamp "batch record takes: <key> <weight>"
+  else
+    match read_int s k0 k1 with
+    | exception Failure _ ->
+        stamp
+          (Printf.sprintf "bad key %S (expected an integer)"
+             (String.sub s k0 (k1 - k0)))
+    | key -> (
+        match read_hex s w0 w1 with
+        | exception Failure _ ->
+            stamp
+              (Printf.sprintf "bad weight %S (expected a float)"
+                 (String.sub s w0 (w1 - w0)))
+        | weight ->
+            if not (Float.is_finite weight) then
+              stamp (Printf.sprintf "weight %g is not finite" weight)
+            else if weight <= 0. then
+              stamp (Printf.sprintf "weight %g must be > 0" weight)
+            else Ok (key, weight))
 
 (* --- number writers ---
 

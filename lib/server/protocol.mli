@@ -113,6 +113,34 @@ val parse_batch_record :
     (1-based body line index, default 0 = unnumbered) stamps the error,
     so a bad weight inside a batch is diagnosed as ["line <n>: ..."]. *)
 
+val read_int : string -> int -> int -> int
+(** [read_int s pos stop]: the integer the token [s.[pos .. stop-1]]
+    spells, read in place — the inverse of {!add_int}. A canonical
+    decimal ([-] and at most 18 digits) is read without allocating; any
+    other token goes through [int_of_string], so [read_int] accepts
+    exactly what [int_of_string] accepts and raises the same [Failure]
+    on the rest. [Invalid_argument] on a span outside [s]. *)
+
+val read_hex : string -> int -> int -> float
+(** [read_hex s pos stop]: the float the token [s.[pos .. stop-1]]
+    spells — the inverse of {!add_hex}. What [%h] prints for a normal
+    float (lead digit [1], at most 13 fraction nibbles) is read in place
+    and exactly; any other token (subnormals, zero, decimal or
+    upper-case spellings, [infinity], [nan]) goes through
+    [float_of_string], whose value and [Failure] it returns. *)
+
+val is_trim : char -> bool
+(** The characters [String.trim] drops from both ends. *)
+
+val skip_spaces : string -> int -> int -> int
+(** [skip_spaces s i stop]: the first index of [i .. stop-1] not holding a
+    space, or [stop]. *)
+
+val token_end : string -> int -> int -> int
+(** [token_end s i stop]: the first index of [i .. stop-1] holding a
+    space, or [stop] — with {!skip_spaces}, how the in-place scanners cut
+    a line at its spaces. *)
+
 val add_int : Buffer.t -> int -> unit
 (** Append the decimal digits of an integer, as [%d] prints them. *)
 

@@ -39,16 +39,44 @@ let to_string st =
     insts;
   Buffer.contents buf
 
-(* Same line discipline as Sampling.Io: number lines before filtering
-   comments/blanks, accept CRLF. *)
-let strip_cr l =
-  let n = String.length l in
-  if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
+(* The text is walked in place, one line at a time, with the line
+   discipline of Sampling.Io: lines are numbered before blank and
+   [#]-comment lines are skipped, and each line is trimmed (which also
+   drops the CR of a CRLF ending). The current line is [s.[lo .. hi-1]]
+   and [line] its 1-based number; [next] is where the following line
+   starts. *)
+type cursor = {
+  s : string;
+  mutable next : int;
+  mutable line : int;
+  mutable lo : int;
+  mutable hi : int;
+}
 
-let lines_of_string s =
-  String.split_on_char '\n' s
-  |> List.mapi (fun i l -> (i + 1, String.trim (strip_cr l)))
-  |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
+let cursor s = { s; next = 0; line = 0; lo = 0; hi = 0 }
+
+(* Move to the next line that is neither blank nor a comment; [false]
+   at the end of the text. *)
+let rec advance c =
+  let n = String.length c.s in
+  if c.next > n then false
+  else begin
+    let eol =
+      match String.index_from c.s c.next '\n' with
+      | i -> i
+      | exception Not_found -> n
+    in
+    let lo = ref c.next and hi = ref eol in
+    while !lo < !hi && Protocol.is_trim c.s.[!lo] do incr lo done;
+    while !hi > !lo && Protocol.is_trim c.s.[!hi - 1] do decr hi done;
+    c.next <- eol + 1;
+    c.line <- c.line + 1;
+    c.lo <- !lo;
+    c.hi <- !hi;
+    if !lo = !hi || c.s.[!lo] = '#' then advance c else true
+  end
+
+let current c = String.sub c.s c.lo (c.hi - c.lo)
 
 let ( let* ) = Result.bind
 
@@ -94,53 +122,70 @@ let parse_header n header =
         (Printf.sprintf "not an optsample snapshot (header %S, expected %S …)"
            header magic)
 
+(* One section per instance, in id order, each read line by line and
+   then installed; an error names the line its section starts on. *)
+let read_section c =
+  match Merge.section (current c) with
+  | Error _ as e -> e
+  | Ok sec ->
+      let rec body () =
+        if not (advance c) then
+          Error "truncated summary payload (missing 'end')"
+        else
+          match Merge.section_line sec c.s c.lo c.hi with
+          | Merge.More -> body ()
+          | Merge.Done s -> Ok s
+          | Merge.Bad m -> Error m
+      in
+      body ()
+
 let of_string_r ?pool ?shards s =
-  match lines_of_string s with
-  | [] -> err 0 "empty input"
-  | (n, header) :: rest ->
-      let* master, mode, default_tau, default_k, default_p, flush_every, count
-          =
-        parse_header n header
-      in
-      let cfg =
-        {
-          Store.shards =
-            Option.value shards ~default:Store.default_config.Store.shards;
-          master;
-          mode;
-          default_tau;
-          default_k;
-          default_p;
-          flush_every;
-          max_inflight = Store.default_config.Store.max_inflight;
-        }
-      in
-      let st = Store.create ?pool cfg in
-      (* One section per instance, in id order; an error names the line
-         its section starts on. *)
-      let rec sections seen = function
-        | [] when seen < count ->
-            err 0
-              (Printf.sprintf "truncated snapshot: %d of %d instance(s)" seen
-                 count)
-        | [] -> Ok st
-        | (n, l) :: _ when seen = count ->
+  let c = cursor s in
+  if not (advance c) then err 0 "empty input"
+  else
+    let* master, mode, default_tau, default_k, default_p, flush_every, count
+        =
+      parse_header c.line (current c)
+    in
+    let cfg =
+      {
+        Store.shards =
+          Option.value shards ~default:Store.default_config.Store.shards;
+        master;
+        mode;
+        default_tau;
+        default_k;
+        default_p;
+        flush_every;
+        max_inflight = Store.default_config.Store.max_inflight;
+      }
+    in
+    let st = Store.create ?pool cfg in
+    let rec sections seen =
+      if not (advance c) then
+        if seen < count then
+          err 0
+            (Printf.sprintf "truncated snapshot: %d of %d instance(s)" seen
+               count)
+        else Ok st
+      else if seen = count then
+        err c.line
+          (Printf.sprintf "trailing garbage after %d instance(s): %S" count
+             (current c))
+      else
+        let n = c.line in
+        match read_section c with
+        | Error m -> err n m
+        | Ok s when s.Store.s_id <> seen ->
             err n
-              (Printf.sprintf "trailing garbage after %d instance(s): %S" count
-                 l)
-        | ((n, _) :: _) as lines -> (
-            match Merge.parse_section snd lines with
+              (Printf.sprintf "summary id %d out of order (expected %d)"
+                 s.Store.s_id seen)
+        | Ok s -> (
+            match Store.install_summary st s with
             | Error m -> err n m
-            | Ok (s, _) when s.Store.s_id <> seen ->
-                err n
-                  (Printf.sprintf "summary id %d out of order (expected %d)"
-                     s.Store.s_id seen)
-            | Ok (s, rest) -> (
-                match Store.install_summary st s with
-                | Error m -> err n m
-                | Ok _ -> sections (seen + 1) rest))
-      in
-      sections 0 rest
+            | Ok _ -> sections (seen + 1))
+    in
+    sections 0
 
 (* All snapshot bytes go through Durable: the write is atomic (tmp +
    fsync + rename — a crash mid-write never damages the previous file)

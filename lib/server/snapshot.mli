@@ -16,13 +16,14 @@
 
     The writer applies the restore rule to each summary: [records] is
     the key count and [volume] the weights summed in ascending key
-    order. Loading parses each section with {!Merge.of_lines} and
-    installs the summary exactly as parsed with {!Store.install_summary}
-    — the path a merged PULL takes — under its recorded id, so seed
-    derivations are preserved. PPS, bottom-k and binary samples depend
-    only on the accumulated weights and the recorded seeds, so the
-    rebuilt samples are bit-identical to those at snapshot time and
-    re-queries answer identically.
+    order. Loading walks the text in place, line by line, reads each
+    section with {!Merge.section_line} (the reader behind
+    {!Merge.of_lines}) and installs the summary exactly as parsed with
+    {!Store.install_summary} — the path a merged PULL takes — under its
+    recorded id, so seed derivations are preserved. PPS and binary
+    samples depend only on the accumulated weights and the recorded
+    seeds, so the rebuilt samples are bit-identical to those at snapshot
+    time and re-queries answer identically.
 
     The shard count is {e not} part of the snapshot: summaries never
     depend on it, so the loader picks its own (default

@@ -34,17 +34,6 @@ let mode_of_name = function
 
 type instance_config = { tau : float; k : int; p : float }
 
-(* Bottom-k working set: the k+1 smallest current (rank, key) pairs,
-   ordered like Bottom_k.sample sorts (rank, then key). *)
-module Rank_order = struct
-  type t = float * int
-
-  let compare (r1, k1) (r2, k2) =
-    match Float.compare r1 r2 with 0 -> Int.compare k1 k2 | c -> c
-end
-
-module RankSet = Set.Make (Rank_order)
-
 (* A key's accumulated weight, its stamp (the instance's [records]
    count when the key last changed) and its slot in the instance's PPS
    column (-1 while the key is out of the sample). All-float, so the
@@ -67,17 +56,25 @@ type column = {
   mutable sorted : int;
 }
 
+(* The instance's float counter, in an all-float record (stored flat)
+   so that adding to it allocates nothing. *)
+type totals = { mutable volume : float }
+
 type instance = {
   id : int;
   i_name : string;
   icfg : instance_config;
+  seeds : Seeds.t;
+  salt : int64;  (* [Seeds.salt seeds ~instance:id], computed once *)
+  u : floatarray;
+      (* one slot: the seed of the key being applied, stored there by
+         [Hashing.uniform_int_into]; the instance's one writer (its
+         shard's drain, or a restore) owns it *)
   weights : (int, cell) Hashtbl.t;
   mutable i_records : int;
-  mutable i_volume : float;
+  totals : totals;
   pps : column;
   binary : column;
-  mutable bk_set : RankSet.t;
-  bk_rank : (int, float) Hashtbl.t;  (* key -> rank, for keys in bk_set *)
 }
 
 type record = { r_inst : instance; r_key : int; r_weight : float }
@@ -137,9 +134,9 @@ let pool t = Lazy.force t.t_pool
 
 (* The one check on instance parameters, shared by every way an
    instance comes into being (CREATE, WAL replay, snapshot restore,
-   merge payloads): k + 1 must not overflow (the bottom-k working set
-   holds k + 1 pairs), and tau/p must make the inclusion predicates
-   meaningful. *)
+   merge payloads): k + 1 must not overflow (a bottom-k sample reads
+   the (k+1)-th smallest rank as its threshold), and tau/p must make
+   the inclusion predicates meaningful. *)
 let validate_config { tau; k; p } =
   if not (Float.is_finite tau && tau > 0.) then
     Error (Printf.sprintf "tau %g must be finite and > 0" tau)
@@ -160,32 +157,6 @@ let find t name = Hashtbl.find_opt t.by_name name
 let instances t = List.rev t.rev_instances
 
 (* --- record application (runs on the owning shard's drain task) --- *)
-
-(* Maintain the k+1 smallest (rank, key): ranks are monotone decreasing
-   in the accumulated weight, so the running (k+1)-max never grows and a
-   key evicted (or rejected) with no further records is correctly out —
-   there are already k+1 keys whose pairs are smaller and only shrink. *)
-let bk_update inst ~u key v =
-  (* [Seeds.rank] of the key's seed [u], which the caller already holds. *)
-  let rank = Sampling.Rank.rank Sampling.Rank.PPS ~w:v ~u in
-  let cap = inst.icfg.k + 1 in
-  match Hashtbl.find_opt inst.bk_rank key with
-  | Some old_rank ->
-      inst.bk_set <- RankSet.add (rank, key) (RankSet.remove (old_rank, key) inst.bk_set);
-      Hashtbl.replace inst.bk_rank key rank
-  | None ->
-      (* [bk_rank] holds exactly the keys of [bk_set]: an O(1) size. *)
-      if Hashtbl.length inst.bk_rank < cap then begin
-        inst.bk_set <- RankSet.add (rank, key) inst.bk_set;
-        Hashtbl.replace inst.bk_rank key rank
-      end
-      else
-        let ((_, max_key) as max_elt) = RankSet.max_elt inst.bk_set in
-        if Rank_order.compare (rank, key) max_elt < 0 then begin
-          inst.bk_set <- RankSet.add (rank, key) (RankSet.remove max_elt inst.bk_set);
-          Hashtbl.remove inst.bk_rank max_key;
-          Hashtbl.replace inst.bk_rank key rank
-        end
 
 (* --- resident sample columns --- *)
 
@@ -278,42 +249,45 @@ let seal_instance inst =
    a function of (weight, seed) alone, so feeding each key's final
    weight through here once rebuilds them exactly — which is how
    [install_summary] restores an instance from its weights. *)
-let sample_key seeds inst ~first key c =
+let sample_key inst ~first key c =
   let v = c.w in
-  let u = Seeds.seed seeds ~instance:inst.id ~key in
+  Numerics.Hashing.uniform_int_into ~salt:inst.salt key inst.u 0;
+  let u = Float.Array.get inst.u 0 in
   (* Same inclusion predicate as Poisson.pps_sample; monotone in v, so
      once in, a key only has its sampled value refreshed. *)
   if c.slot >= 0. then Float.Array.set inst.pps.vals (Float.to_int c.slot) v
   else if v >= u *. inst.icfg.tau then append inst.pps key c;
   (* Binary support sample: decided once, on the key's first record. *)
-  if first && u <= inst.icfg.p then append inst.binary key c;
-  bk_update inst ~u key v
+  if first && u <= inst.icfg.p then append inst.binary key c
 
 (* Key [key] now has weight [v], stamped [stamp]. *)
-let set_weight seeds inst ~stamp key v =
+let set_weight inst ~stamp key v =
   match Hashtbl.find inst.weights key with
   | c ->
       c.w <- v;
       c.stamp <- stamp;
-      sample_key seeds inst ~first:false key c
+      sample_key inst ~first:false key c
   | exception Not_found ->
       let c = { w = v; stamp; slot = -1. } in
       Hashtbl.add inst.weights key c;
-      sample_key seeds inst ~first:true key c
+      sample_key inst ~first:true key c
 
-let apply seeds inst key w =
+(* One record. For a key the instance holds, nothing here allocates
+   unless the key enters the PPS column: the cell, the totals and the
+   seed slot are all written in place. *)
+let apply inst key w =
   inst.i_records <- inst.i_records + 1;
-  inst.i_volume <- inst.i_volume +. w;
+  inst.totals.volume <- inst.totals.volume +. w;
   let stamp = Float.of_int inst.i_records in
   match Hashtbl.find inst.weights key with
   | c ->
       c.w <- c.w +. w;
       c.stamp <- stamp;
-      sample_key seeds inst ~first:false key c
+      sample_key inst ~first:false key c
   | exception Not_found ->
       let c = { w; stamp; slot = -1. } in
       Hashtbl.add inst.weights key c;
-      sample_key seeds inst ~first:true key c
+      sample_key inst ~first:true key c
 
 (* --- sharded ingest --- *)
 
@@ -337,7 +311,7 @@ let drain t shard =
       let batch = List.rev backlog in
       let n = List.length batch in
       ignore (Atomic.fetch_and_add shard.depth (-n));
-      List.iter (fun r -> apply t.t_seeds r.r_inst r.r_key r.r_weight) batch;
+      List.iter (fun r -> apply r.r_inst r.r_key r.r_weight) batch;
       List.iter
         (fun inst -> if shard_of t inst == shard then seal_instance inst)
         t.rev_instances;
@@ -456,6 +430,10 @@ let ingest_many t ~name ~records =
       if t.pending_since_flush >= t.cfg.flush_every then flush t;
       Ok ()
 
+let apply_record inst ~key ~weight =
+  apply inst key weight;
+  seal_instance inst
+
 let pending t =
   Array.fold_left (fun acc s -> acc + Atomic.get s.depth) 0 t.t_shards
 
@@ -465,7 +443,7 @@ let id inst = inst.id
 let name inst = inst.i_name
 let instance_config inst = inst.icfg
 let records inst = inst.i_records
-let volume inst = inst.i_volume
+let volume inst = inst.totals.volume
 let cardinality inst = Hashtbl.length inst.weights
 
 (* Every export below is sorted by [by_key]: hashtable iteration order
@@ -496,33 +474,13 @@ let pps_sample inst =
       List.init c.len (fun i -> (c.keys.(i), Float.Array.get c.vals i));
   }
 
+(* No query reads a bottom-k sample, so none is kept: it is drawn from
+   the weights when asked for. *)
 let bottom_k inst =
-  let k = inst.icfg.k in
-  let all = RankSet.elements inst.bk_set in
-  let rec take n = function
-    | [] -> ([], infinity)
-    | (rank, key) :: rest ->
-        if n = 0 then ([], rank)
-        else
-          let kept, thr = take (n - 1) rest in
-          ( {
-              Sampling.Bottom_k.key;
-              value = (Hashtbl.find inst.weights key).w;
-              rank;
-            }
-            :: kept,
-            thr )
-  in
-  let entries, threshold = take k all in
-  {
-    Sampling.Bottom_k.instance_id = inst.id;
-    k;
-    family = Sampling.Rank.PPS;
-    entries;
-    threshold;
-  }
+  Sampling.Bottom_k.sample inst.seeds ~family:Sampling.Rank.PPS
+    ~instance:inst.id ~k:inst.icfg.k (to_instance inst)
 
-let bottom_k_size inst = min inst.icfg.k (Hashtbl.length inst.bk_rank)
+let bottom_k_size inst = min inst.icfg.k (cardinality inst)
 
 let binary_sample inst =
   let c = binary_column inst in
@@ -555,7 +513,7 @@ let export_summary ?since inst =
     s_id = inst.id;
     s_cfg = inst.icfg;
     s_records = inst.i_records;
-    s_volume = inst.i_volume;
+    s_volume = inst.totals.volume;
     s_weights;
   }
 
@@ -576,18 +534,19 @@ let install_summary t s =
           id = s.s_id;
           i_name = s.s_name;
           icfg = s.s_cfg;
+          seeds = t.t_seeds;
+          salt = Seeds.salt t.t_seeds ~instance:s.s_id;
+          u = Float.Array.make 1 0.;
           weights = Hashtbl.create (max 1024 (List.length s.s_weights));
           i_records = s.s_records;
-          i_volume = s.s_volume;
+          totals = { volume = s.s_volume };
           pps = column ~valued:true;
           binary = column ~valued:false;
-          bk_set = RankSet.empty;
-          bk_rank = Hashtbl.create 256;
         }
       in
       let stamp = Float.of_int s.s_records in
       List.iter
-        (fun (key, v) -> set_weight t.t_seeds inst ~stamp key v)
+        (fun (key, v) -> set_weight inst ~stamp key v)
         s.s_weights;
       seal_instance inst;
       Hashtbl.add t.by_name s.s_name inst;
@@ -601,10 +560,9 @@ let install_summary t s =
 
 (* A delta advances an instance whose weights only grew: each listed
    key's weight is replaced and its samples re-run through [sample_key]
-   (PPS inclusion is monotone in the weight, binary membership was
-   decided when the key first appeared, and a falling rank keeps the
-   bottom-k working set exact), so the result equals installing the
-   full summary. Everything is checked before anything changes. *)
+   (PPS inclusion is monotone in the weight and binary membership was
+   decided when the key first appeared), so the result equals
+   installing the full summary. Everything is checked before anything changes. *)
 let apply_delta t s =
   match Hashtbl.find_opt t.by_name s.s_name with
   | None -> Error (Printf.sprintf "unknown instance %S" s.s_name)
@@ -638,10 +596,10 @@ let apply_delta t s =
                  s.s_name key v)
         | None ->
             inst.i_records <- s.s_records;
-            inst.i_volume <- s.s_volume;
+            inst.totals.volume <- s.s_volume;
             let stamp = Float.of_int s.s_records in
             List.iter
-              (fun (key, v) -> set_weight t.t_seeds inst ~stamp key v)
+              (fun (key, v) -> set_weight inst ~stamp key v)
               s.s_weights;
             seal_instance inst;
             Ok inst)

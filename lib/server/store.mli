@@ -12,13 +12,18 @@
       [u(h)·tau] and never leaves (weights only grow), so the resident
       sample always equals {!Sampling.Poisson.pps_sample} of the
       accumulated instance, bit for bit;
-    - a {b bottom-k} (priority) sample: the [k+1] smallest current
-      [(rank, key)] pairs are maintained under updates. Ranks are
-      monotone decreasing in the accumulated weight, so the running
-      [(k+1)]-max never grows and eviction is exact — the final structure
-      equals {!Sampling.Bottom_k.sample} of the accumulated instance;
     - a {b binary support} sample ([u(h) ≤ p]) for the distinct-count
       estimators.
+
+    No query reads a bottom-k (priority) sample, so the store keeps
+    none: {!bottom_k} draws {!Sampling.Bottom_k.sample} from the
+    accumulated weights when asked, and {!bottom_k_size} is [min k]
+    and the key count.
+
+    Applying a record to a key the instance already holds allocates
+    nothing unless the key enters the PPS sample: the key's cell, the
+    instance's counters and the seed (from the instance's salt, computed
+    once) are all written in place.
 
     Because the samples follow from the weights, a {!summary} carries
     only counters and weights, and {!install_summary} rebuilds the
@@ -104,7 +109,7 @@ val pool : t -> Numerics.Pool.t
 
 val validate_config : instance_config -> (unit, string) result
 (** The one range check on instance parameters: [tau] finite and [> 0],
-    [1 ≤ k < max_int] (the bottom-k working set holds [k + 1] pairs) and
+    [1 ≤ k < max_int] (a bottom-k sample reads the [(k+1)]-th rank) and
     [0 < p ≤ 1]. *)
 
 val check_create : t -> name:string -> instance_config -> (unit, string) result
@@ -174,6 +179,14 @@ val flush : t -> unit
     records, in per-shard arrival order. Idempotent when nothing is
     pending. *)
 
+val apply_record : instance -> key:int -> weight:float -> unit
+(** Apply one record to the instance in place, as a shard's drain does
+    with each record it takes from the mailbox, then seal its columns:
+    no admission check and no mailbox. [weight] must be finite and
+    [> 0]. Call it only while no {!flush} runs, from the thread that
+    owns the store. For a key the instance already holds that does not
+    enter the PPS sample it allocates nothing. *)
+
 val pending : t -> int
 (** Records pushed but not yet applied (sum of mailbox depths). *)
 
@@ -212,12 +225,13 @@ val pps_sample : instance -> Sampling.Poisson.pps
     accumulated instance. *)
 
 val bottom_k : instance -> Sampling.Bottom_k.t
-(** The live bottom-k (PPS-rank) sample — equal to
-    [Sampling.Bottom_k.sample] of the accumulated instance. *)
+(** The bottom-k (PPS-rank) sample of the accumulated instance:
+    [Sampling.Bottom_k.sample] over its weights, drawn on each call
+    (O(keys log keys)). *)
 
 val bottom_k_size : instance -> int
-(** The length of {!bottom_k}'s entries, in O(1): [min k] and the
-    working-set size. *)
+(** The length of {!bottom_k}'s entries, in O(1): [min k] and
+    {!cardinality}. *)
 
 val binary_sample : instance -> int list
 (** {!binary_column}'s keys as a list — equal to
@@ -249,8 +263,8 @@ val export_summary : ?since:int -> instance -> summary
 val install_summary : t -> summary -> (instance, string) result
 (** Register an instance with the summary's counters and weights, under
     its {e recorded} id (so seed recomputation matches the exporting
-    store). Its PPS, bottom-k and binary samples are rebuilt from the
-    weights by the per-key code ingestion runs, so they equal the
+    store). Its PPS and binary samples are rebuilt from the weights by
+    the per-key code ingestion runs, so they equal the
     exporting instance's samples and the materialized store answers
     queries bit-identically. The weights must be positive with distinct
     keys. Every key is stamped with the summary's records. The
@@ -264,8 +278,8 @@ val apply_delta : t -> summary -> (instance, string) result
     per-key sample code again. For a summary that lists every key whose
     weight changed, the result equals {!install_summary} of the full
     summary, because weights only grow: PPS inclusion is monotone in the
-    weight, binary membership is decided on the key's first appearance,
-    and a key's bottom-k rank only falls. [Error], with nothing changed,
+    weight and binary membership is decided on the key's first
+    appearance. [Error], with nothing changed,
     when there is no such instance, the id or [tau]/[k]/[p] differ, or
     the records or a listed weight fall. *)
 

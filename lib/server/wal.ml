@@ -47,75 +47,139 @@ type op =
 
 (* --- op payloads (text, floats as lossless hex literals) --- *)
 
-let encode_op = function
-  | Create { name; tau; k; p } -> Printf.sprintf "C %s %h %d %h" name tau k p
-  | Ingest { name; key; weight } -> Printf.sprintf "I %s %d %h" name key weight
+(* Written without Printf, number by number: the batch records are most
+   of every WAL byte. *)
+let encode_op op =
+  let buf =
+    Buffer.create
+      (match op with
+      | Ingest_batch { records; _ } -> 16 + (32 * Array.length records)
+      | _ -> 64)
+  in
+  let head tag name =
+    Buffer.add_string buf tag;
+    Buffer.add_string buf name
+  in
+  let int n =
+    Buffer.add_char buf ' ';
+    Protocol.add_int buf n
+  in
+  let hex x =
+    Buffer.add_char buf ' ';
+    Protocol.add_hex buf x
+  in
+  (match op with
+  | Create { name; tau; k; p } ->
+      head "C " name;
+      hex tau;
+      int k;
+      hex p
+  | Ingest { name; key; weight } ->
+      head "I " name;
+      int key;
+      hex weight
   | Ingest_batch { name; records } ->
       (* One frame per batch — this is the group commit: one append, one
          [maybe_sync], however many records the batch carries. Sized by
          Protocol.max_batch to always fit [max_payload]. *)
-      let buf = Buffer.create (16 + (24 * Array.length records)) in
-      Buffer.add_string buf
-        (Printf.sprintf "B %s %d" name (Array.length records));
+      head "B " name;
+      int (Array.length records);
       Array.iter
         (fun (key, weight) ->
-          Buffer.add_string buf (Printf.sprintf " %d %h" key weight))
-        records;
-      Buffer.contents buf
-  | Flush -> "F"
+          int key;
+          hex weight)
+        records
+  | Flush -> Buffer.add_char buf 'F');
+  Buffer.contents buf
 
-let decode_op payload =
-  let tokens =
-    String.split_on_char ' ' payload |> List.filter (fun t -> t <> "")
+(* The payload [s.[lo .. hi-1]] is read in place: its tokens are the
+   runs of non-space bytes, counted first (an op's shape is its token
+   count), then read in order with Protocol's readers — a batch's
+   records straight into its array. *)
+let count_tokens s lo hi =
+  let rec go i n =
+    let i = Protocol.skip_spaces s i hi in
+    if i = hi then n else go (Protocol.token_end s i hi) (n + 1)
   in
-  let float_tok what s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v -> Ok v
-    | _ -> Error (Printf.sprintf "bad %s %S in op payload" what s)
+  go lo 0
+
+(* A token that does not read, with its message; caught in [decode_op]. *)
+exception Bad_token of string
+
+let decode_op s lo hi =
+  let sub a b = String.sub s a (b - a) in
+  (* The current token is [s.[!a .. !b-1]]; [next] moves to the next. *)
+  let a = ref lo and b = ref lo in
+  let next () =
+    a := Protocol.skip_spaces s !b hi;
+    b := Protocol.token_end s !a hi
   in
-  let int_tok what s =
-    match int_of_string_opt s with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad %s %S in op payload" what s)
+  let bad what =
+    raise
+      (Bad_token (Printf.sprintf "bad %s %S in op payload" what (sub !a !b)))
   in
-  match tokens with
-  | [ "C"; name; tau; k; p ] when Protocol.valid_name name ->
-      Result.bind (float_tok "tau" tau) (fun tau ->
-          Result.bind (int_tok "k" k) (fun k ->
-              Result.bind (float_tok "p" p) (fun p ->
-                  Ok (Create { name; tau; k; p }))))
-  | [ "I"; name; key; weight ] when Protocol.valid_name name ->
-      Result.bind (int_tok "key" key) (fun key ->
-          Result.bind (float_tok "weight" weight) (fun weight ->
-              if weight <= 0. then
-                Error (Printf.sprintf "weight %g must be > 0" weight)
-              else Ok (Ingest { name; key; weight })))
-  | "B" :: name :: count :: rest when Protocol.valid_name name ->
-      Result.bind (int_tok "record count" count) (fun count ->
-          if count < 1 || List.length rest <> 2 * count then
-            Error
-              (Printf.sprintf
-                 "batch op declares %d records but carries %d tokens" count
-                 (List.length rest))
-          else
-            let records = Array.make count (0, 0.) in
-            let rec fill i = function
-              | [] -> Ok (Ingest_batch { name; records })
-              | key :: weight :: rest ->
-                  Result.bind (int_tok "key" key) (fun key ->
-                      Result.bind (float_tok "weight" weight) (fun weight ->
-                          if weight <= 0. then
-                            Error
-                              (Printf.sprintf "weight %g must be > 0" weight)
-                          else begin
-                            records.(i) <- (key, weight);
-                            fill (i + 1) rest
-                          end))
-              | [ _ ] -> Error "odd batch token count"
-            in
-            fill 0 rest)
-  | [ "F" ] -> Ok Flush
-  | _ -> Error (Printf.sprintf "unrecognized op payload %S" payload)
+  let int_tok what =
+    next ();
+    match Protocol.read_int s !a !b with
+    | v -> v
+    | exception Failure _ -> bad what
+  in
+  let float_tok what =
+    next ();
+    match Protocol.read_hex s !a !b with
+    | v when Float.is_finite v -> v
+    | _ | (exception Failure _) -> bad what
+  in
+  let weight_tok () =
+    let w = float_tok "weight" in
+    if w <= 0. then
+      raise (Bad_token (Printf.sprintf "weight %g must be > 0" w))
+    else w
+  in
+  let unrecognized () =
+    Error (Printf.sprintf "unrecognized op payload %S" (sub lo hi))
+  in
+  let n = count_tokens s lo hi in
+  next ();
+  let tag = if !b - !a = 1 then s.[!a] else ' ' in
+  if tag = 'F' && n = 1 then Ok Flush
+  else if n < 3 || not (tag = 'C' || tag = 'I' || tag = 'B') then
+    unrecognized ()
+  else begin
+    next ();
+    let name = sub !a !b in
+    if not (Protocol.valid_name name) then unrecognized ()
+    else
+      try
+        match tag with
+        | 'C' when n = 5 ->
+            let tau = float_tok "tau" in
+            let k = int_tok "k" in
+            let p = float_tok "p" in
+            Ok (Create { name; tau; k; p })
+        | 'I' when n = 4 ->
+            let key = int_tok "key" in
+            let weight = weight_tok () in
+            Ok (Ingest { name; key; weight })
+        | 'B' ->
+            let count = int_tok "record count" in
+            let carried = n - 3 in
+            if count < 1 || carried <> 2 * count then
+              Error
+                (Printf.sprintf
+                   "batch op declares %d records but carries %d tokens" count
+                   carried)
+            else
+              let records = Array.make count (0, 0.) in
+              for i = 0 to count - 1 do
+                let key = int_tok "key" in
+                let weight = weight_tok () in
+                records.(i) <- (key, weight)
+              done;
+              Ok (Ingest_batch { name; records })
+        | _ -> unrecognized ()
+      with Bad_token m -> Error m
+  end
 
 (* --- frames: [len:int32le][crc32(payload):int32le][payload] --- *)
 
@@ -141,12 +205,11 @@ let decode_at s pos =
     if len < 0 || len > max_payload then
       Torn (Printf.sprintf "implausible frame length %d" len)
     else if n - pos - 8 < len then Torn "truncated frame payload"
+    else if
+      Durable.crc32_update 0l s (pos + 8) len <> String.get_int32_le s (pos + 4)
+    then Torn "frame CRC mismatch"
     else
-      let payload = String.sub s (pos + 8) len in
-      if Durable.crc32 payload <> String.get_int32_le s (pos + 4) then
-        Torn "frame CRC mismatch"
-      else
-        match decode_op payload with
+      match decode_op s (pos + 8) (pos + 8 + len) with
         | Ok op -> Frame (op, pos + 8 + len)
         | Error m -> Torn m
 

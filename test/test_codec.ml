@@ -1,0 +1,554 @@
+(* The in-place codec readers and what they read.
+
+   - Protocol.read_int / read_hex are the inverses of add_int / add_hex
+     and agree with int_of_string / float_of_string on every token:
+     same bits, or the same Failure.
+   - Durable's native-int CRC equals the bytewise Int32 reference.
+   - Differential: over seeded byte mutations of a real snapshot, a
+     summary payload, WAL segments and INGESTN body lines, each scanner
+     and its tokenizing oracle (Codec_oracle) give equal results or the
+     same error, line number included, and neither raises.
+   - A key whose accumulated weight overflows to +infinity keeps its
+     instance readable: PULL, SNAPSHOT, a WAL checkpoint and a restart
+     all carry it, and QUERY answers the same before and after.
+   - Applying a record to a key the instance holds allocates nothing. *)
+
+module P = Server.Protocol
+module Store = Server.Store
+module Engine = Server.Engine
+module Snapshot = Server.Snapshot
+module Merge = Server.Merge
+module Wal = Server.Wal
+module Durable = Server.Durable
+module O = Codec_oracle
+
+let get = function Ok v -> v | Error m -> Alcotest.failf "unexpected error: %s" m
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+let with_dir prefix f =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* ------------------------------------------------------------------ *)
+(* Readers                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The token read inside a longer string, so a reader that strays past
+   its span shows. *)
+let in_span tok = ("<" ^ tok ^ " tail>", 1, 1 + String.length tok)
+
+let float_result f = match f () with v -> Ok v | exception Failure m -> Error m
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_hex tok =
+  let s, pos, stop = in_span tok in
+  match
+    ( float_result (fun () -> float_of_string tok),
+      float_result (fun () -> P.read_hex s pos stop) )
+  with
+  | Ok want, Ok got
+    when same_float want got || (Float.is_nan want && Float.is_nan got) ->
+      ()
+  | Error want, Error got when want = got -> ()
+  | want, got ->
+      let show = function
+        | Ok v -> Printf.sprintf "%h (bits %Lx)" v (Int64.bits_of_float v)
+        | Error m -> "Failure " ^ m
+      in
+      Alcotest.failf "read_hex %S: %s, float_of_string: %s" tok (show got)
+        (show want)
+
+let check_int tok =
+  let s, pos, stop = in_span tok in
+  let r f = match f () with v -> Ok v | exception Failure m -> Error m in
+  let want = r (fun () -> int_of_string tok) in
+  let got = r (fun () -> P.read_int s pos stop) in
+  if want <> got then
+    Alcotest.failf "read_int %S disagrees with int_of_string" tok
+
+(* The bit patterns the writer's test covers: random over every exponent
+   and sign, subnormals, zero, the extremes and powers of two. *)
+let test_read_hex_bits () =
+  let rng = Numerics.Prng.create ~seed:131 () in
+  let hex v = Printf.sprintf "%h" v in
+  for _ = 1 to 100_000 do
+    check_hex (hex (Int64.float_of_bits (Numerics.Prng.bits64 rng)))
+  done;
+  for _ = 1 to 10_000 do
+    let frac = Int64.logand (Numerics.Prng.bits64 rng) 0xF_FFFF_FFFF_FFFFL in
+    let v = Int64.float_of_bits frac in
+    check_hex (hex v);
+    check_hex (hex (-.v))
+  done;
+  for e = -1074 to 1023 do
+    check_hex (hex (Float.ldexp 1. e));
+    check_hex (hex (Float.ldexp (-1.) e))
+  done;
+  List.iter
+    (fun v -> check_hex (hex v))
+    [ Float.min_float; Float.max_float; Float.pred 1.; Float.succ 1.;
+      Int64.float_of_bits 1L; Int64.float_of_bits 0xF_FFFF_FFFF_FFFFL;
+      Float.pred Float.min_float; 0.; -0.; 1.; 0.1; 1e308; infinity;
+      neg_infinity; nan ];
+  (* The writer's bytes read back to the same bits. *)
+  let buf = Buffer.create 32 in
+  for _ = 1 to 10_000 do
+    let v = Int64.float_of_bits (Numerics.Prng.bits64 rng) in
+    if not (Float.is_nan v) then begin
+      Buffer.clear buf;
+      P.add_hex buf v;
+      let s = Buffer.contents buf in
+      let got = P.read_hex s 0 (String.length s) in
+      if not (same_float v got) then
+        Alcotest.failf "read_hex (add_hex %h) = %h" v got
+    end
+  done
+
+(* Spellings [%h] does not print go the strict path: the result, or the
+   Failure, is float_of_string's. *)
+let test_read_hex_noncanonical () =
+  List.iter check_hex
+    [ "0X1P+0"; "0x1.8p3"; "0x1.8P+3"; "0x1.8p+03"; "1.5"; "-2.25e3";
+      "infinity"; "-infinity"; "inf"; "nan"; "0x1.8000p+1";
+      "0x1.fffffffffffff8p+0"; "0x1.00000000000001p+0"; "0x1p-1023";
+      "0x1p-1074"; "0x1p+1024"; "0x1p+99999"; "0x1.p+0"; "0x1."; "0x1";
+      "0x1p"; "0x1p+"; "0x1p0"; "0x1p+0x"; "0x1_0p+0"; "0x1.a_bp+0";
+      "+0x1p+0"; "--0x1p+0"; "0x0p+0"; "0x0.8p-1022"; "0x2p+0"; "";
+      "-"; "x"; "0x"; "1e400"; "_1"; "0x1.Ap+0"; "0x1.ap+0"; " 0x1p+0";
+      "0x1p+0 "; "\t1.5"; "0x1.gp+0"; "0x1.8p-1022"; "0x1.8p+1023";
+      "-0x1.fffffffffffffp+1023" ]
+
+let test_read_int () =
+  let rng = Numerics.Prng.create ~seed:17 () in
+  for _ = 1 to 100_000 do
+    let v = Int64.to_int (Numerics.Prng.bits64 rng) in
+    check_int (string_of_int v);
+    check_int (string_of_int (v asr Numerics.Prng.int rng 62))
+  done;
+  List.iter check_int
+    [ "0"; "-0"; "007"; "-007"; "+5"; "0x10"; "0o17"; "0b101"; "0u12";
+      "1_000"; ""; "-"; "--1"; "1-"; " 1"; "1 "; "a";
+      string_of_int max_int; string_of_int min_int;
+      "4611686018427387904"; "-4611686018427387905";
+      "99999999999999999999"; "999999999999999999"; "-999999999999999999";
+      "1000000000000000000"; "0000000000000000000001" ];
+  let buf = Buffer.create 32 in
+  List.iter
+    (fun v ->
+      Buffer.clear buf;
+      P.add_int buf v;
+      let s = Buffer.contents buf in
+      Alcotest.(check int) "read_int (add_int v)" v
+        (P.read_int s 0 (String.length s)))
+    [ 0; 1; -1; 42; max_int; min_int; max_int / 10; min_int / 10 ]
+
+(* ------------------------------------------------------------------ *)
+(* CRC                                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_crc () =
+  Alcotest.(check int32) "check value" 0xCBF43926l (Durable.crc32 "123456789");
+  let rng = Numerics.Prng.create ~seed:29 () in
+  for _ = 1 to 2_000 do
+    let len = Numerics.Prng.int rng 300 in
+    let s = String.init len (fun _ -> Char.chr (Numerics.Prng.int rng 256)) in
+    Alcotest.(check int32) "one shot" (O.crc32_update 0l s 0 len)
+      (Durable.crc32 s);
+    (* Chained updates from an arbitrary running value. *)
+    let seed = Int64.to_int32 (Numerics.Prng.bits64 rng) in
+    let cut = if len = 0 then 0 else Numerics.Prng.int rng (len + 1) in
+    let want = O.crc32_update (O.crc32_update seed s 0 cut) s cut (len - cut) in
+    let got =
+      Durable.crc32_update (Durable.crc32_update seed s 0 cut) s cut (len - cut)
+    in
+    Alcotest.(check int32) "chained" want got
+  done;
+  match Durable.crc32_update 0l "abc" 2 5 with
+  | _ -> Alcotest.fail "a span past the string was read"
+  | exception Invalid_argument _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Differential: scanners against the tokenizing oracles                *)
+(* ------------------------------------------------------------------ *)
+
+(* Single-byte flips, truncations and insertions of a valid encoding;
+   printable bytes of the codecs' own alphabet dominate, so many mutants
+   reach the deeper checks. *)
+let mutants ~seed ~n good =
+  let rng = Numerics.Prng.create ~seed () in
+  let len = String.length good in
+  let byte () =
+    if Numerics.Prng.int rng 4 = 0 then Char.chr (Numerics.Prng.int rng 256)
+    else
+      String.get " \n\r\t#0123456789abcdefpx+-.endwsumryBCIF"
+        (Numerics.Prng.int rng 39)
+  in
+  List.init n (fun _ ->
+      let i = Numerics.Prng.int rng (max 1 len) in
+      match Numerics.Prng.int rng 4 with
+      | 0 | 1 -> String.mapi (fun j c -> if j = i then byte () else c) good
+      | 2 -> String.sub good 0 (min i len)
+      | _ ->
+          String.sub good 0 (min i len)
+          ^ String.make 1 (byte ())
+          ^ String.sub good (min i len) (len - min i len))
+
+let no_raise what input f =
+  match f () with
+  | v -> v
+  | exception e ->
+      Alcotest.failf "%s raised %s on %S" what (Printexc.to_string e) input
+
+let store_text = function
+  | Ok st -> Ok (Snapshot.to_string st)
+  | Error e -> Error (Sampling.Io.parse_error_to_string e)
+
+let records ~seed n =
+  let rng = Numerics.Prng.create ~seed () in
+  Array.init n (fun _ ->
+      ( Numerics.Prng.int rng 100_000 - 50_000,
+        Float.ldexp
+          (0.5 +. Numerics.Prng.float rng)
+          (Numerics.Prng.int rng 40 - 20) ))
+
+let sample_store () =
+  let st = Store.create { Store.default_config with Store.master = 7 } in
+  List.iteri
+    (fun i (name, tau, k, p) ->
+      ignore (get (Store.create_instance st ~name ~tau ~k ~p ()));
+      Array.iter
+        (fun (key, weight) ->
+          match Store.ingest st ~name ~key ~weight with
+          | Ok () -> ()
+          | Error e ->
+              Alcotest.failf "ingest: %s" (Store.ingest_error_to_string e))
+        (records ~seed:(40 + i) 120))
+    [ ("a", 3., 8, 0.3); ("b", 0.5, 16, 1.); ("c-1", 1e-3, 4, 0.05) ];
+  Store.flush st;
+  st
+
+let check_snapshot_mutant m =
+  let want =
+    no_raise "oracle" m (fun () -> store_text (O.snapshot_of_string_r m))
+  in
+  let got =
+    no_raise "Snapshot.of_string_r" m (fun () ->
+        store_text (Snapshot.of_string_r m))
+  in
+  if want <> got then
+    Alcotest.failf "snapshot mutant %S: scanner %s, oracle %s" m
+      (match got with Ok _ -> "accepted" | Error e -> e)
+      (match want with Ok _ -> "accepted" | Error e -> e);
+  Result.is_ok got
+
+let test_snapshot_differential () =
+  let good = Snapshot.to_string (sample_store ()) in
+  (* The same text with the line discipline exercised: CRLF endings,
+     comments, blank and indented lines. *)
+  let dressed =
+    "# a comment\n\n"
+    ^ String.concat "\r\n"
+        (List.mapi
+           (fun i l -> if i mod 7 = 3 then "  " ^ l ^ " \t" else l)
+           (String.split_on_char '\n' good))
+    ^ "\n# trailing\n"
+  in
+  List.iter
+    (fun (seed, text) ->
+      Alcotest.(check bool) "the unmutated text loads" true
+        (check_snapshot_mutant text);
+      let accepted =
+        List.length
+          (List.filter check_snapshot_mutant (mutants ~seed ~n:4000 text))
+      in
+      Alcotest.(check bool) "some mutants load" true (accepted > 0))
+    [ (61, good); (62, dressed) ];
+  List.iter
+    (fun m -> ignore (check_snapshot_mutant m))
+    [ ""; "\n"; "# only\n"; Snapshot.magic; "optsample-snapshot 1 x";
+      good ^ "summary"; good ^ "w 1 0x1p+0\n" ]
+
+let test_payload_differential () =
+  let check m =
+    let lines = String.split_on_char '\n' m in
+    let want = no_raise "oracle" m (fun () -> O.of_lines lines) in
+    let got = no_raise "Merge.of_lines" m (fun () -> Merge.of_lines lines) in
+    let show = function
+      | Ok s -> String.concat "\n" (Merge.payload s)
+      | Error e -> "error: " ^ e
+    in
+    if show want <> show got then
+      Alcotest.failf "payload mutant %S: scanner %s, oracle %s" m (show got)
+        (show want)
+  in
+  let st = sample_store () in
+  List.iteri
+    (fun i inst ->
+      let good = String.concat "\n" (Merge.payload (Store.export_summary inst)) in
+      List.iter check (good :: mutants ~seed:(70 + i) ~n:3000 good))
+    (Store.instances st);
+  (* Weight and key spellings mutations rarely reach. *)
+  let header = "summary h 0 0x1p+2 8 0x1p-1 3 0x1p+3\n" in
+  List.iter
+    (fun w -> check (header ^ w ^ "\nend"))
+    [ "w 5 infinity"; "w 5 -infinity"; "w 5 inf"; "w 5 nan"; "w 5 -nan";
+      "w 5 0x0p+0"; "w 5 -0x0p+0"; "w 5 -0x1p+0"; "w 5 0x1p-1074";
+      "w 5 0x1p+1024"; "w 5 1e400"; "w 5 1.5"; "w 5 0X1P+0";
+      "w 0x10 0x1p+0"; "w -0 0x1p+0"; "w 4611686018427387904 0x1p+0";
+      "w 5 0x1p+0 "; "w  5 0x1p+0"; "w 5  0x1p+0"; "w 5"; "w"; "w ";
+      "w\t5 0x1p+0"; "w 5\t0x1p+0"; "end "; " end"; "END" ]
+
+(* A WAL segment as Wal.append writes it, walked frame by frame. *)
+let frames decode s =
+  let rec go pos acc =
+    match decode s pos with
+    | Wal.Frame (op, next) -> go next (`Op op :: acc)
+    | Wal.End -> List.rev (`End :: acc)
+    | Wal.Torn m -> List.rev (`Torn (pos, m) :: acc)
+  in
+  go 0 []
+
+let frame_of_payload payload =
+  let len = String.length payload in
+  let b = Bytes.create (8 + len) in
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set_int32_le b 4 (O.crc32_update 0l payload 0 len);
+  Bytes.blit_string payload 0 b 8 len;
+  Bytes.to_string b
+
+let test_wal_differential () =
+  let ops =
+    [ Wal.Create { name = "a"; tau = 2.5; k = 16; p = 0.25 };
+      Wal.Ingest { name = "a"; key = -3; weight = 0x1.8p-3 };
+      Wal.Ingest_batch { name = "a"; records = records ~seed:80 40 };
+      Wal.Flush;
+      Wal.Create { name = "b.2"; tau = 1e-3; k = 1; p = 1. };
+      Wal.Ingest { name = "b.2"; key = max_int; weight = Float.min_float };
+      Wal.Ingest_batch { name = "b.2"; records = records ~seed:81 7 } ]
+  in
+  let segment = String.concat "" (List.map Wal.encode_frame ops) in
+  Alcotest.(check bool) "the segment decodes to its ops" true
+    (frames Wal.decode_at segment = List.map (fun op -> `Op op) ops @ [ `End ]);
+  let compare_walks what m =
+    let want = no_raise "oracle" m (fun () -> frames O.decode_at m) in
+    let got = no_raise "Wal.decode_at" m (fun () -> frames Wal.decode_at m) in
+    if want <> got then Alcotest.failf "%s mutant %S: walks differ" what m
+  in
+  (* Raw bytes: the frame headers and CRCs take most hits. *)
+  List.iter (compare_walks "segment") (mutants ~seed:82 ~n:3000 segment);
+  (* Payloads re-framed with a good CRC, so the decoder sees them. *)
+  List.iteri
+    (fun i op ->
+      let payload =
+        let f = Wal.encode_frame op in
+        String.sub f 8 (String.length f - 8)
+      in
+      List.iter
+        (fun m -> compare_walks "payload" (frame_of_payload m))
+        (mutants ~seed:(90 + i) ~n:1500 payload))
+    ops;
+  List.iter
+    (fun p -> compare_walks "payload" (frame_of_payload p))
+    [ ""; " "; "F"; " F  "; "F F"; "C a 0x1p+0 3"; "C a 0x1p+0 3 0x1p-2";
+      "C  a  0x1p+0  3  0x1p-2 "; "I a 1 2"; "I a 1 -2"; "I a 1 inf";
+      "I a 1 nan"; "I a x 1"; "B a 1 1"; "B a 1 1 1"; "B a 0"; "B a 2 1 1 2";
+      "B a 2 1 1 2 0"; "B a x 1 1"; "B bad/name 1 1 1"; "B a 1 1 1.5e0";
+      "Z a 1 1"; "B a 4611686018427387904 1 1" ]
+
+let test_batch_record_differential () =
+  let bodies =
+    [ "12 0x1.8p+1"; "-7 1.5"; "  3   0x1p-3  "; "5\t0x1p+0"; "1 2 3"; "";
+      "x 1"; "1 x"; "1 nan"; "1 -inf"; "1 0"; "1 -0x1p+0"; "0x10 0x1p+4";
+      "9 0x1.fffffffffffffp+1023"; "9 0x0.0000000000001p-1022" ]
+  in
+  List.iteri
+    (fun i good ->
+      List.iter
+        (fun m ->
+          let line = i + 1 in
+          let want =
+            no_raise "oracle" m (fun () -> O.parse_batch_record ~line m)
+          in
+          let got =
+            no_raise "parse_batch_record" m (fun () ->
+                P.parse_batch_record ~line m)
+          in
+          if want <> got then Alcotest.failf "batch record %S differs" m)
+        (good :: mutants ~seed:(100 + i) ~n:400 good))
+    bodies
+
+(* ------------------------------------------------------------------ *)
+(* Weights that overflow to infinity                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-process store epoch in a PULL header is masked. *)
+let mask_epoch =
+  Str.global_replace (Str.regexp {|"epoch":[0-9]+|}) {|"epoch":_|}
+
+let test_infinite_weight () =
+  with_dir "codec-inf" @@ fun dir ->
+  let wal_cfg =
+    { (Wal.default_config ~dir:(Filename.concat dir "wal")) with
+      Wal.fsync = Wal.Never }
+  in
+  let store_cfg = { Store.default_config with Store.master = 5 } in
+  let ok engine line =
+    let resp, _ = Engine.handle_line engine line in
+    if not (P.json_ok resp) then Alcotest.failf "%s: %s" line resp;
+    resp
+  in
+  let reads engine =
+    List.map (fun l -> mask_epoch (ok engine l))
+      [ "PULL h"; "PULL g"; "QUERY max h g"; "QUERY or h g";
+        "QUERY distinct h g"; "QUERY dominance h g" ]
+  in
+  (* A restore from a snapshot sets each instance's records to its key
+     count (the restore rule), so there the PULL comparison is of the
+     weight lines. *)
+  let weight_lines responses =
+    List.map
+      (fun r ->
+        if String.length r > 0 && r.[0] = '{' && String.contains r '\n' then
+          String.concat "\n"
+            (List.filter
+               (fun l -> String.length l > 2 && String.sub l 0 2 = "w ")
+               (String.split_on_char '\n' r))
+        else r)
+      responses
+  in
+  let r = get (Wal.recover ~store_cfg wal_cfg) in
+  let engine = Engine.create ~wal:r.Wal.wal r.Wal.store in
+  List.iter
+    (fun l -> ignore (ok engine l))
+    [ "CREATE h tau=4 k=8 p=0.5"; "CREATE g tau=4 k=8 p=0.5";
+      "INGEST h 2 3.5"; "INGEST g 1 2"; "INGEST g 2 0.25" ];
+  ignore (ok engine "FLUSH");
+  (* A checkpoint before the overflow, so the restart replays it. *)
+  ignore (ok engine ("SNAPSHOT " ^ Filename.concat dir "before.snap"));
+  List.iter
+    (fun l -> ignore (ok engine l))
+    [ "INGEST h 1 1e308"; "INGEST h 1 1e308"; "FLUSH" ];
+  let inst = Option.get (Store.find r.Wal.store "h") in
+  Alcotest.(check bool) "the weight overflowed" true
+    (List.assoc 1 (Store.export_summary inst).Store.s_weights = infinity);
+  let before = reads engine in
+  Alcotest.(check bool) "PULL carries the infinite weight" true
+    (List.exists (fun l -> l = "w 1 infinity")
+       (String.split_on_char '\n' (List.hd before)));
+  (* Restart over the log: the checkpoint, then the overflowing records. *)
+  Wal.close r.Wal.wal;
+  let r2 = get (Wal.recover ~store_cfg wal_cfg) in
+  Alcotest.(check (list string)) "no checkpoint quarantined" []
+    r2.Wal.skipped_checkpoints;
+  Alcotest.(check (list string)) "answers after a WAL restart" before
+    (reads (Engine.create ~wal:r2.Wal.wal r2.Wal.store));
+  (* A checkpoint holding the infinite weight, and a restart on it. *)
+  let path = Filename.concat dir "after.snap" in
+  let engine2 = Engine.create ~wal:r2.Wal.wal r2.Wal.store in
+  ignore (ok engine2 ("SNAPSHOT " ^ path));
+  Wal.close r2.Wal.wal;
+  let r3 = get (Wal.recover ~store_cfg wal_cfg) in
+  Alcotest.(check (list string)) "the new checkpoint is not quarantined" []
+    r3.Wal.skipped_checkpoints;
+  Alcotest.(check int) "nothing left to replay" 0 r3.Wal.replayed;
+  Alcotest.(check (list string)) "answers after a checkpoint restart"
+    (weight_lines before)
+    (weight_lines (reads (Engine.create ~wal:r3.Wal.wal r3.Wal.store)));
+  Wal.close r3.Wal.wal;
+  match Snapshot.load path with
+  | Error e ->
+      Alcotest.failf "snapshot refused: %s"
+        (Sampling.Io.parse_error_to_string e)
+  | Ok st ->
+      Alcotest.(check (list string)) "answers from the SNAPSHOT file"
+        (weight_lines before)
+        (weight_lines (reads (Engine.create st)))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let test_apply_no_alloc () =
+  let st = Store.create { Store.default_config with Store.master = 3 } in
+  let sampled =
+    get (Store.create_instance st ~name:"in" ~tau:1. ~k:4 ~p:1. ())
+  in
+  let unsampled =
+    get (Store.create_instance st ~name:"out" ~tau:1e300 ~k:4 ~p:1e-9 ())
+  in
+  List.iter
+    (fun inst ->
+      for key = 1 to 100 do
+        Store.apply_record inst ~key ~weight:2.
+      done)
+    [ sampled; unsampled ];
+  Alcotest.(check int) "the key is in the PPS sample" 100
+    (Store.pps_column sampled).Aggregates.Column.len;
+  Alcotest.(check int) "the key is out of it" 0
+    (Store.pps_column unsampled).Aggregates.Column.len;
+  Allocheck.assert_no_alloc "apply to a sampled key" (fun () ->
+      Store.apply_record sampled ~key:17 ~weight:0.5);
+  Allocheck.assert_no_alloc "apply to an unsampled key" (fun () ->
+      Store.apply_record unsampled ~key:17 ~weight:0.5);
+  (* Applying a record is what ingesting it and flushing does. *)
+  let recs = records ~seed:50 500 in
+  let build apply =
+    let st = Store.create { Store.default_config with Store.master = 3 } in
+    let inst =
+      get (Store.create_instance st ~name:"a" ~tau:0.5 ~k:4 ~p:0.3 ())
+    in
+    Array.iter (fun (key, weight) -> apply st inst ~key ~weight) recs;
+    Store.flush st;
+    ( Merge.payload (Store.export_summary inst),
+      Store.pps_sample inst,
+      Store.binary_sample inst )
+  in
+  let ingest st _ ~key ~weight =
+    match Store.ingest st ~name:"a" ~key ~weight with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "ingest: %s" (Store.ingest_error_to_string e)
+  in
+  Alcotest.(check bool) "apply_record equals ingest + flush" true
+    (build ingest
+    = build (fun _ inst ~key ~weight -> Store.apply_record inst ~key ~weight))
+
+let () =
+  Alcotest.run "codec"
+    [
+      ( "readers",
+        [
+          Alcotest.test_case "read_hex bits equal float_of_string" `Quick
+            test_read_hex_bits;
+          Alcotest.test_case "non-canonical spellings take the strict path"
+            `Quick test_read_hex_noncanonical;
+          Alcotest.test_case "read_int equals int_of_string" `Quick
+            test_read_int;
+          Alcotest.test_case "crc32 equals the Int32 reference" `Quick test_crc;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "snapshot mutants" `Quick
+            test_snapshot_differential;
+          Alcotest.test_case "payload mutants" `Quick
+            test_payload_differential;
+          Alcotest.test_case "WAL segment mutants" `Quick
+            test_wal_differential;
+          Alcotest.test_case "INGESTN body mutants" `Quick
+            test_batch_record_differential;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "infinite weights stay readable" `Quick
+            test_infinite_weight;
+          Alcotest.test_case "warm apply allocates nothing" `Quick
+            test_apply_no_alloc;
+        ] );
+    ]

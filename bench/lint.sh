@@ -91,8 +91,8 @@ fi
 # Cluster discipline: the router never mutates a store directly — every
 # backend effect travels over the wire protocol (so the daemons stay the
 # single writers of their partitions), and the router's resident merged
-# store is built and advanced only through Merge (materialize, install,
-# apply_deltas). A direct Store mutation in router.ml — the delta apply
+# store starts empty (Store.create) and is advanced only through Merge
+# (install, apply_deltas). A direct Store mutation in router.ml — the delta apply
 # included — would fork cluster state from the daemons that own it.
 router_hits=$(grep -nE 'Store\.(ingest|ingest_many|create_instance|install_summary|apply_delta|flush|check_ingest)' \
     "$root/lib/server/router.ml" 2>/dev/null)
@@ -115,7 +115,8 @@ fi
 
 # The bottom-k working set was the same kind of state: a rank set and a
 # rank table fed on every record, read by no query (STATS bk_size is
-# min k and the key count; Store.bottom_k draws the sample on demand).
+# min k and the key count; the sample is Sampling.Bottom_k.sample of the
+# exported weights).
 bk_hits=$(grep -rnE 'RankSet|bk_update' "$root/lib/server" --include='*.ml' 2>/dev/null)
 if [ -n "$bk_hits" ]; then
     echo "lint: a bottom-k working set is banned under lib/server — the store keeps only state a query reads:" >&2
@@ -166,11 +167,12 @@ if [ -n "$assoc_hits" ]; then
     status=1
 fi
 
-# Oracle discipline: the reference evaluators (the Designer hashtable
-# lookup, Similarity.sums and the list-walking Sum_agg.estimate) are
-# the oracles the bit-identity tests hold the serving path to. Serving
-# code calls their flat twins; a reference evaluator under lib/server
-# would put the slow path back behind QUERY.
+# Oracle discipline: the Designer hashtable lookup is the reference the
+# bit-identity tests hold the flat OR table to, and the list-taking sums
+# (Similarity.sums, Sum_agg.estimate) build columns from lists; their
+# list-and-hashtable predecessors are the oracles in test/agg_oracle.ml.
+# Serving code walks the store's resident columns with the flat twins;
+# any of these under lib/server would put a slow path back behind QUERY.
 oracle_hits=$(grep -rnE 'Designer\.lookup|Similarity\.sums |Sum_agg\.estimate ' \
     "$root/lib/server" --include='*.ml' 2>/dev/null)
 if [ -n "$oracle_hits" ]; then
@@ -188,6 +190,20 @@ sort_hits=$(grep -nE 'List\.(stable_)?sort|ISet\.of_list|Store\.(pps_sample|bina
 if [ -n "$sort_hits" ]; then
     echo "lint: per-query sorts, key sets and list samples are banned in lib/server/engine.ml — walk the resident columns:" >&2
     echo "$sort_hits" >&2
+    status=1
+fi
+
+# One key enumeration: every sum aggregate walks the union of its
+# samples' columns with Aggregates.Column.walk. A key set, a hashtable
+# index per sample or a sampled-key list in the sum aggregates would be
+# a second enumeration beside the walk (the list-and-hashtable one lives
+# on in test/agg_oracle.ml, as the oracle of the walk).
+enum_hits=$(grep -nE 'ISet|ITbl|Hashtbl|sampled_keys' \
+    "$root/lib/aggregates/sum_agg.ml" "$root/lib/aggregates/similarity.ml" \
+    "$root/lib/aggregates/dominance.ml" 2>/dev/null)
+if [ -n "$enum_hits" ]; then
+    echo "lint: key sets, hashtables and sampled_keys are banned in the sum aggregates — walk the columns:" >&2
+    echo "$enum_hits" >&2
     status=1
 fi
 

@@ -121,8 +121,10 @@ let repro_cmd =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"EXPERIMENT"
-          ~doc:"Experiments to run (default: all). One of fig1 table41 \
-                table42 fig2 fig3 fig4 fig5 fig6 fig7 table51 thm61 coeffs.")
+          ~doc:
+            ("Experiments to run (default: all). One of "
+            ^ String.concat " " (List.map fst experiments)
+            ^ "."))
   in
   let run names jobs strict trace metrics =
     let todo = if names = [] then List.map fst experiments else names in

@@ -10,9 +10,10 @@
 
     The serving store ([Server.Store]) keeps every instance's PPS and
     binary samples as resident columns, so a query walks them as they
-    are; the list-taking entry points of {!Sum_agg}, {!Similarity} and
-    {!Distinct} build columns with {!of_entries} / {!of_keys} and run
-    the same walk. *)
+    are. The list-taking sums ({!Sum_agg.estimate}, the {!Dominance}
+    norms, {!Similarity.sums} and {!Distinct}) build columns with
+    {!of_entries} / {!of_keys} and run the same walk: it is the only way
+    the aggregates enumerate union keys. *)
 
 type t = {
   keys : int array;  (** [keys.(0 .. len-1)] strictly ascending *)

@@ -1,11 +1,16 @@
+(* The three independent-seed norms are sums of one Sum_agg.max_columns
+   walk over the samples' columns. *)
+let sums (t : Sum_agg.pps_samples) ~select =
+  Sum_agg.max_columns t.seeds ~ids:(Sum_agg.ids t) ~taus:t.taus
+    (Sum_agg.columns t) ~select
+
 let max_dominance_l samples ~select =
-  Sum_agg.estimate samples ~est:Estcore.Max_pps.l ~select
+  match (sums samples ~select).max_l with
+  | Some l -> l
+  | None -> invalid_arg "Dominance.max_dominance_l: max^(L) needs r = 2"
 
-let max_dominance_ht samples ~select =
-  Sum_agg.estimate samples ~est:Estcore.Ht.max_pps ~select
-
-let min_dominance_ht samples ~select =
-  Sum_agg.estimate samples ~est:Estcore.Ht.min_pps ~select
+let max_dominance_ht samples ~select = (sums samples ~select).max_ht
+let min_dominance_ht samples ~select = (sums samples ~select).min_ht
 
 let max_dominance_coordinated samples ~select =
   Sum_agg.estimate samples ~est:Estcore.Coordinated.max_ht ~select

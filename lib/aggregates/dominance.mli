@@ -5,10 +5,12 @@
     max; with two instances it is estimated per key by [max^(L)]
     ({!Estcore.Max_pps.l}) or the [max^(HT)] baseline. Min-dominance is
     the sum aggregate of min, estimated by the (optimal)
-    inverse-probability [min^(HT)]. *)
+    inverse-probability [min^(HT)]. Each of these three is one sum of
+    {!Sum_agg.max_columns} over {!Sum_agg.columns}. *)
 
 val max_dominance_l : Sum_agg.pps_samples -> select:(int -> bool) -> float
-(** Max-dominance estimate with per-key [max^(L)] (r = 2 samples). *)
+(** Max-dominance estimate with per-key [max^(L)]; [Invalid_argument]
+    unless there are exactly two samples. *)
 
 val max_dominance_ht : Sum_agg.pps_samples -> select:(int -> bool) -> float
 

@@ -6,24 +6,9 @@ type sums = { union_hat : float; inter_hat : float }
 let site_union = "similarity.union"
 let site_inter = "similarity.intersection"
 
-let sums t ~select =
-  let union_hat =
-    Sum_agg.estimate t
-      ~est:(fun o -> M.guard ~site:site_union (M.max_lstar o))
-      ~select
-  in
-  let inter_hat =
-    Sum_agg.estimate t
-      ~est:(fun o -> M.guard ~site:site_inter (M.min_lstar o))
-      ~select
-  in
-  { union_hat; inter_hat }
-
 (* One walk over the union of the PPS columns computing both sums. The
    monotone closed forms read only values/presence/thresholds, so no
-   seed is recomputed; bit-identity to {!sums} holds because both take
-   the same ascending union keys and accumulate the same guarded
-   per-key values left to right, with twin evaluators underneath. *)
+   seed is recomputed. *)
 let sums_columns ~taus cols ~select =
   let r = Array.length cols in
   let buf = EB.create ~r_max:(max r 1) in
@@ -49,7 +34,7 @@ let sums_columns ~taus cols ~select =
   done;
   { union_hat = Float.Array.get acc 0; inter_hat = Float.Array.get acc 1 }
 
-let sums_flat t ~select =
+let sums t ~select =
   sums_columns ~taus:t.Sum_agg.taus (Sum_agg.columns t) ~select
 
 let jaccard s = if s.union_hat > 0. then s.inter_hat /. s.union_hat else 0.

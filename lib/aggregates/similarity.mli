@@ -26,28 +26,20 @@ type sums = {
       (** [Σ_h] L*-min — the weighted intersection estimate *)
 }
 
-val sums :
-  Sum_agg.pps_samples -> select:(int -> bool) -> sums
-(** Reference path: {!Sum_agg.estimate} with
-    {!Estcore.Monotone.max_lstar} / {!Estcore.Monotone.min_lstar}, each
-    per-key value through {!Estcore.Monotone.guard} (sites
-    ["similarity.union"], ["similarity.intersection"]). The oracle the
-    bit-identity tests hold the serving path to. *)
-
 val sums_columns :
   taus:float array -> Column.t array -> select:(int -> bool) -> sums
-(** Serving path: both sums from one {!Column.walk} over PPS samples
-    held as columns, each per-key estimate through the
-    {!Estcore.Monotone.Flat} store-into twins and the same guard. The
-    L* closed forms never read seeds, so the walk computes none and
-    allocates nothing per key. Bit-identical to {!sums}: same ascending
-    union-key order, same left-to-right accumulation, twin evaluators
-    (asserted by the test suite). *)
+(** Both sums from one {!Column.walk} over PPS samples held as columns
+    (the serving path walks the store's resident ones): per union key,
+    in ascending order, the {!Estcore.Monotone.Flat} L* max and min,
+    each through {!Estcore.Monotone.guard} (sites ["similarity.union"],
+    ["similarity.intersection"]) and summed left to right. The L* closed
+    forms never read seeds, so the walk computes none and allocates
+    nothing per key. Bit-identical to summing the reference
+    {!Estcore.Monotone.max_lstar} / {!Estcore.Monotone.min_lstar} per
+    key in that order (asserted by the test suite). *)
 
-val sums_flat :
-  Sum_agg.pps_samples -> select:(int -> bool) -> sums
-(** {!sums_columns} over the samples' entries as columns
-    ({!Column.of_entries}). *)
+val sums : Sum_agg.pps_samples -> select:(int -> bool) -> sums
+(** {!sums_columns} over {!Sum_agg.columns}. *)
 
 val jaccard : sums -> float
 (** [inter_hat / union_hat], 0 when the union estimate is not positive.

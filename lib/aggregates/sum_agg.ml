@@ -90,34 +90,26 @@ let outcome t h ~value =
 let key_outcome t h =
   outcome t h ~value:(fun i -> List.assoc_opt h t.samples.(i).P.entries)
 
-module ISet = Set.Make (Int)
-module ITbl = Hashtbl.Make (Int)
+let columns t =
+  Array.map (fun (s : P.pps) -> Column.of_entries s.P.entries) t.samples
 
-let sampled_keys t =
-  Array.fold_left
-    (fun acc (s : P.pps) ->
-      List.fold_left (fun acc (h, _) -> ISet.add h acc) acc s.P.entries)
-    ISet.empty t.samples
-  |> ISet.elements
+let ids t = Array.map (fun (s : P.pps) -> s.P.instance_id) t.samples
 
-(* Each sample indexed once per call, keeping the first binding of a
-   duplicated key — [key_outcome]'s answer without its per-key list
-   walk, which made a sum over n sampled keys cost O(n²). *)
+(* One walk over the union of the sample columns, the per-key estimates
+   summed left to right in ascending key order. *)
 let estimate t ~est ~select =
-  let index (s : P.pps) =
-    let tbl = ITbl.create (max 16 (List.length s.P.entries)) in
-    List.iter
-      (fun (h, v) -> if not (ITbl.mem tbl h) then ITbl.add tbl h v)
-      s.P.entries;
-    tbl
+  let cols = columns t in
+  let w = Column.walk cols in
+  let value i =
+    let j = Column.hit w i in
+    if j < 0 then None else Some (Float.Array.get cols.(i).Column.vals j)
   in
-  let idx = Array.map index t.samples in
-  List.fold_left
-    (fun acc h ->
-      if select h then
-        acc +. est (outcome t h ~value:(fun i -> ITbl.find_opt idx.(i) h))
-      else acc)
-    0. (sampled_keys t)
+  let acc = ref 0. in
+  while Column.more w do
+    let h = Column.next w in
+    if select h then acc := !acc +. est (outcome t h ~value)
+  done;
+  !acc
 
 module EB = Estcore.Evalbuf
 
@@ -159,20 +151,6 @@ let max_columns seeds ~ids ~taus cols ~select =
     max_l = (if with_l then Some (Float.Array.get acc 1) else None);
     min_ht = Float.Array.get acc 2;
   }
-
-let columns t =
-  Array.map (fun (s : P.pps) -> Column.of_entries s.P.entries) t.samples
-
-let ids t = Array.map (fun (s : P.pps) -> s.P.instance_id) t.samples
-
-let estimate_flat t ~est ~select =
-  let sums =
-    max_columns t.seeds ~ids:(ids t) ~taus:t.taus (columns t) ~select
-  in
-  match (est, sums.max_l) with
-  | `Max_ht, _ -> sums.max_ht
-  | `Max_l, Some l -> l
-  | `Max_l, None -> invalid_arg "Sum_agg.estimate_flat: `Max_l needs r = 2"
 
 let exact_variance ~taus ~instances ~moments ~select =
   List.fold_left

@@ -43,16 +43,25 @@ val key_outcome : pps_samples -> int -> Sampling.Outcome.Pps.t
     sample's recorded [instance_id] (so samples of arbitrary instances —
     not just 0..r−1 — pair with the right seeds). *)
 
-val sampled_keys : pps_samples -> int list
-(** Union of sampled keys, ascending. *)
+val columns : pps_samples -> Column.t array
+(** Each sample's entries as a {!Column} ({!Column.of_entries}: a
+    duplicated key keeps its first binding, like {!key_outcome}). *)
+
+val ids : pps_samples -> int array
+(** Each sample's recorded [instance_id], in sample order: the ids
+    {!max_columns} recomputes seeds at. *)
 
 val estimate :
   pps_samples ->
   est:(Sampling.Outcome.Pps.t -> float) ->
   select:(int -> bool) ->
   float
-(** [Σ_{h ∈ select ∩ sampled} est(outcome h)]. Unbiased for the sum
-    aggregate when [est] is unbiased per key. *)
+(** [Σ_{h ∈ select ∩ sampled} est(outcome h)], from one {!Column.walk}
+    over {!columns}: per union key, in ascending order, the outcome of
+    {!key_outcome} (values at the walk's hits, seeds recomputed at the
+    recorded ids) is passed to [est] and the results are summed left to
+    right. Unbiased for the sum aggregate when [est] is unbiased per
+    key. *)
 
 type max_sums = {
   max_ht : float;  (** [Σ] {!Estcore.Ht.max_pps} *)
@@ -76,18 +85,6 @@ val max_columns :
     {!estimate} with the reference evaluator: same ascending union-key
     order, same seeds, same left-to-right accumulation, twin
     evaluators (asserted by the test suite). *)
-
-val columns : pps_samples -> Column.t array
-(** Each sample's entries as a {!Column} ({!Column.of_entries}). *)
-
-val estimate_flat :
-  pps_samples ->
-  est:[ `Max_l | `Max_ht ] ->
-  select:(int -> bool) ->
-  float
-(** One sum of {!max_columns} over {!columns} (a duplicated key keeps
-    its first binding, like {!key_outcome}). [`Max_l] needs two samples
-    ([Invalid_argument] otherwise). *)
 
 val exact_variance :
   taus:float array ->

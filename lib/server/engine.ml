@@ -51,14 +51,6 @@ let or_flat_tables ~p1 ~p2 =
 
 let select_all _ = true
 
-(* Serving path of [QUERY or] for key lists: the columns' walk of
-   {!Distinct.classify_columns}, its table sum. *)
-let eval_or_flat flat seeds ~ids ~p1 ~p2 ~s1 ~s2 =
-  snd
-    (Distinct.classify_columns ~table:flat seeds ~ids ~p1 ~p2
-       (Aggregates.Column.of_keys s1) (Aggregates.Column.of_keys s2)
-       ~select:select_all)
-
 (* What the rows read of the queried instances, in query order: ids,
    parameters and the resident sample columns, no copy. *)
 let ids insts = Array.of_list (List.map Store.id insts)

@@ -75,22 +75,6 @@
 
 type t
 
-val eval_or_flat :
-  Estcore.Or_weighted.Table.t ->
-  Sampling.Seeds.t ->
-  ids:int * int ->
-  p1:float ->
-  p2:float ->
-  s1:int list ->
-  s2:int list ->
-  float
-(** The OR^(L) sum of [QUERY or] at r = 2 for two key lists: the table
-    sum of {!Aggregates.Distinct.classify_columns} over the lists as
-    {!Aggregates.Column.of_keys}, one flattened 16-cell table read per
-    union key. Bit-identical to summing {!Estcore.Designer.lookup} of
-    each key's (below, sampled) outcome in ascending key order, on the
-    table it was flattened from. *)
-
 val or_flat_tables : p1:float -> p2:float -> ((bool array * bool array) Estcore.Designer.estimator * Estcore.Or_weighted.Table.t, string) result
 (** Derive (memoized) the served OR^(L) table for a probability pair and
     its flattened copy — the exact pair [QUERY or] uses; for tests. *)

@@ -128,7 +128,7 @@ let connect ?(retry = Client.default_retry) ~store_cfg addrs =
               cfg;
               pool;
               names = [];
-              resident = Result.get_ok (Merge.materialize ~pool cfg []);
+              resident = Store.create ~pool cfg;
               cursors = Hashtbl.create 16;
             }
           in
@@ -282,7 +282,7 @@ let advance t (name, replies) =
    On failure the old store stays, still consistent with its cursors. *)
 let rebuild t names =
   let* rounds = pull_round t names (fun _ _ -> None) in
-  let* st = Merge.materialize ~pool:t.pool t.cfg [] in
+  let st = Store.create ~pool:t.pool t.cfg in
   let rec install = function
     | [] -> Ok ()
     | (_, replies) :: rest ->

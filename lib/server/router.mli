@@ -61,10 +61,6 @@
 
 type t
 
-val placement_salt : int64
-(** The fixed placement salt — exposed so tests can pick keys with known
-    owners. *)
-
 val owner : backends:int -> int -> int
 (** [owner ~backends key] — which backend (0-based) owns [key]. *)
 

@@ -64,8 +64,7 @@ type instance = {
   id : int;
   i_name : string;
   icfg : instance_config;
-  seeds : Seeds.t;
-  salt : int64;  (* [Seeds.salt seeds ~instance:id], computed once *)
+  salt : int64;  (* [Seeds.salt] of the store's seeds at [id], computed once *)
   u : floatarray;
       (* one slot: the seed of the key being applied, stored there by
          [Hashing.uniform_int_into]; the instance's one writer (its
@@ -456,8 +455,6 @@ let by_key entries =
 let sorted_weights inst =
   by_key (Hashtbl.fold (fun k c acc -> (k, c.w) :: acc) inst.weights [])
 
-let to_instance inst = Sampling.Instance.of_assoc (sorted_weights inst)
-
 (* The sealed prefix: after a flush, the whole column. *)
 let view col =
   { Aggregates.Column.keys = col.keys; vals = col.vals; len = col.sorted }
@@ -465,26 +462,9 @@ let view col =
 let pps_column inst = view inst.pps
 let binary_column inst = view inst.binary
 
-let pps_sample inst =
-  let c = pps_column inst in
-  {
-    Sampling.Poisson.instance_id = inst.id;
-    tau = inst.icfg.tau;
-    entries =
-      List.init c.len (fun i -> (c.keys.(i), Float.Array.get c.vals i));
-  }
-
-(* No query reads a bottom-k sample, so none is kept: it is drawn from
-   the weights when asked for. *)
-let bottom_k inst =
-  Sampling.Bottom_k.sample inst.seeds ~family:Sampling.Rank.PPS
-    ~instance:inst.id ~k:inst.icfg.k (to_instance inst)
-
+(* No query reads a bottom-k sample, so none is kept; STATS reports its
+   size. *)
 let bottom_k_size inst = min inst.icfg.k (cardinality inst)
-
-let binary_sample inst =
-  let c = binary_column inst in
-  List.init c.len (fun i -> c.keys.(i))
 
 (* --- mergeable summary export / install (cluster mode) --- *)
 
@@ -534,7 +514,6 @@ let install_summary t s =
           id = s.s_id;
           i_name = s.s_name;
           icfg = s.s_cfg;
-          seeds = t.t_seeds;
           salt = Seeds.salt t.t_seeds ~instance:s.s_id;
           u = Float.Array.make 1 0.;
           weights = Hashtbl.create (max 1024 (List.length s.s_weights));

@@ -16,9 +16,9 @@
       estimators.
 
     No query reads a bottom-k (priority) sample, so the store keeps
-    none: {!bottom_k} draws {!Sampling.Bottom_k.sample} from the
-    accumulated weights when asked, and {!bottom_k_size} is [min k]
-    and the key count.
+    none: the sample is {!Sampling.Bottom_k.sample} of the exported
+    weights ({!export_summary}), and {!bottom_k_size}, which STATS
+    reports, is [min k] and the key count.
 
     Applying a record to a key the instance already holds allocates
     nothing unless the key enters the PPS sample: the key's cell, the
@@ -206,9 +206,6 @@ val volume : instance -> float
 val cardinality : instance -> int
 (** Distinct keys with positive accumulated weight. *)
 
-val to_instance : instance -> Sampling.Instance.t
-(** Materialize the accumulated weights (O(keys)). *)
-
 val pps_column : instance -> Aggregates.Column.t
 (** The live PPS sample as its resident column: keys ascending, each
     with its current weight — O(1), no copy. The arrays are the store's
@@ -219,23 +216,9 @@ val binary_column : instance -> Aggregates.Column.t
     key-only column, keys ascending — O(1), no copy, same terms as
     {!pps_column}. *)
 
-val pps_sample : instance -> Sampling.Poisson.pps
-(** {!pps_column} as a list sample (O(sample)) — equal to
-    [Sampling.Poisson.pps_sample seeds ~instance:(id inst) ~tau] of the
-    accumulated instance. *)
-
-val bottom_k : instance -> Sampling.Bottom_k.t
-(** The bottom-k (PPS-rank) sample of the accumulated instance:
-    [Sampling.Bottom_k.sample] over its weights, drawn on each call
-    (O(keys log keys)). *)
-
 val bottom_k_size : instance -> int
-(** The length of {!bottom_k}'s entries, in O(1): [min k] and
+(** The size of the instance's bottom-k sample, in O(1): [min k] and
     {!cardinality}. *)
-
-val binary_sample : instance -> int list
-(** {!binary_column}'s keys as a list — equal to
-    [Aggregates.Distinct.sample_binary] of the accumulated instance. *)
 
 (** {2 Mergeable summaries (cluster mode)}
 

@@ -120,7 +120,7 @@ let test_key_outcome_reconstruction () =
 let test_sampled_keys_sorted () =
   let seeds = Sampling.Seeds.create ~master:9 Sampling.Seeds.Independent in
   let samples = SA.sample_pps seeds ~taus:[| 15.; 20. |] two_instances in
-  let ks = SA.sampled_keys samples in
+  let ks = Agg_oracle.sampled_keys samples in
   Alcotest.(check bool) "sorted" true (List.sort compare ks = ks)
 
 let test_sum_agg_unbiased_l () =
@@ -153,32 +153,69 @@ let test_sum_agg_unbiased_ht () =
          SA.estimate samples ~est:Estcore.Ht.max_pps ~select:(fun _ -> true)))
 
 let test_sum_agg_flat_bit_identity () =
-  (* The flat path reuses one Evalbuf per sweep; the guarantee is not
-     "close", it is the same bits as the reference estimators — over
-     plain PPS samples and priority (bottom-k) samples, with and
-     without a selection predicate. *)
+  (* Every sum aggregate is one column walk (the Dominance norms on one
+     reused Evalbuf); the guarantee is not "close", it is the bits of
+     the list-and-hashtable oracle with the reference estimators — over
+     plain PPS samples and priority (bottom-k) samples, independent and
+     shared seeds, with and without a selection predicate. *)
+  let same msg walked oracle =
+    if Int64.bits_of_float walked <> Int64.bits_of_float oracle then
+      Alcotest.failf "%s: walk %.17g vs oracle %.17g" msg walked oracle
+  in
   let check_samples msg samples =
     List.iter
       (fun (sname, select) ->
         List.iter
-          (fun (ename, est, ref_est) ->
-            let flat = SA.estimate_flat samples ~est ~select in
-            let reference = SA.estimate samples ~est:ref_est ~select in
-            if Int64.bits_of_float flat <> Int64.bits_of_float reference then
-              Alcotest.failf "%s/%s/%s: flat %.17g vs reference %.17g" msg
-                ename sname flat reference)
+          (fun (ename, walked, est) ->
+            same
+              (Printf.sprintf "%s/%s/%s" msg ename sname)
+              (walked samples ~select)
+              (Agg_oracle.estimate samples ~est ~select))
           [
-            ("max_l", `Max_l, Estcore.Max_pps.l);
-            ("max_ht", `Max_ht, Estcore.Ht.max_pps);
-          ])
+            ("max_l", Aggregates.Dominance.max_dominance_l, Estcore.Max_pps.l);
+            ("max_ht", Aggregates.Dominance.max_dominance_ht, Estcore.Ht.max_pps);
+            ("min_ht", Aggregates.Dominance.min_dominance_ht, Estcore.Ht.min_pps);
+            ( "coordinated",
+              Aggregates.Dominance.max_dominance_coordinated,
+              Estcore.Coordinated.max_ht );
+            ( "estimate",
+              SA.estimate ~est:Estcore.Max_pps.l,
+              Estcore.Max_pps.l );
+          ];
+        let walked = Aggregates.Similarity.sums samples ~select in
+        let oracle = Agg_oracle.similarity_sums samples ~select in
+        same
+          (Printf.sprintf "%s/union/%s" msg sname)
+          walked.Aggregates.Similarity.union_hat
+          oracle.Aggregates.Similarity.union_hat;
+        same
+          (Printf.sprintf "%s/intersection/%s" msg sname)
+          walked.Aggregates.Similarity.inter_hat
+          oracle.Aggregates.Similarity.inter_hat)
       [ ("all", (fun _ -> true)); ("even keys", fun h -> h mod 2 = 0) ]
   in
   List.iter
     (fun master ->
-      let seeds = Sampling.Seeds.create ~master Sampling.Seeds.Independent in
-      check_samples "pps" (SA.sample_pps seeds ~taus:[| 15.; 20. |] two_instances);
-      check_samples "priority" (SA.sample_priority seeds ~k:40 two_instances))
-    [ 3; 9; 27 ]
+      List.iter
+        (fun (mname, mode) ->
+          let seeds = Sampling.Seeds.create ~master mode in
+          check_samples (mname ^ " pps")
+            (SA.sample_pps seeds ~taus:[| 15.; 20. |] two_instances);
+          check_samples (mname ^ " priority")
+            (SA.sample_priority seeds ~k:40 two_instances))
+        [
+          ("independent", Sampling.Seeds.Independent);
+          ("shared", Sampling.Seeds.Shared);
+        ])
+    [ 3; 9; 27 ];
+  (* max^(L) is the r = 2 closed form: other arities are refused *)
+  let seeds = Sampling.Seeds.create ~master:3 Sampling.Seeds.Independent in
+  let three = SA.sample_pps seeds ~taus:[| 15.; 20.; 25. |]
+      (two_instances @ [ List.hd two_instances ]) in
+  Alcotest.check_raises "max_l at r = 3"
+    (Invalid_argument "Dominance.max_dominance_l: max^(L) needs r = 2")
+    (fun () ->
+      ignore (Aggregates.Dominance.max_dominance_l three ~select:(fun _ -> true)))
 
 let test_exact_variance_additive () =
   let taus = [| 15.; 20. |] in

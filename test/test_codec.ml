@@ -508,8 +508,8 @@ let test_apply_no_alloc () =
     Array.iter (fun (key, weight) -> apply st inst ~key ~weight) recs;
     Store.flush st;
     ( Merge.payload (Store.export_summary inst),
-      Store.pps_sample inst,
-      Store.binary_sample inst )
+      Agg_oracle.column_entries (Store.pps_column inst),
+      Agg_oracle.column_keys (Store.binary_column inst) )
   in
   let ingest st _ ~key ~weight =
     match Store.ingest st ~name:"a" ~key ~weight with

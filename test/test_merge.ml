@@ -890,8 +890,13 @@ let tied_stream seeds ~instance ~seed =
   in
   Array.append base (Array.of_list (List.rev extra))
 
+(* The samples of an instance as lists, and its weights, which
+   determine its bottom-k sample. *)
 let samples_of inst =
-  (Store.pps_sample inst, Store.bottom_k inst, Store.binary_sample inst)
+  ( Agg_oracle.pps_of_column ~instance_id:(Store.id inst)
+      ~tau:(Store.instance_config inst).Store.tau (Store.pps_column inst),
+    Agg_oracle.column_keys (Store.binary_column inst),
+    (Store.export_summary inst).Store.s_weights )
 
 let test_install_rebuilds_live_samples () =
   List.iter
@@ -918,7 +923,13 @@ let test_install_rebuilds_live_samples () =
           let tied =
             List.exists
               (fun inst ->
-                let bk = Store.bottom_k inst in
+                let bk =
+                  Sampling.Bottom_k.sample (Store.seeds st)
+                    ~family:Sampling.Rank.PPS
+                    ~instance:(Store.id inst) ~k:rebuild_k
+                    (Sampling.Instance.of_assoc
+                       (Store.export_summary inst).Store.s_weights)
+                in
                 let rs =
                   List.map (fun e -> e.Sampling.Bottom_k.rank)
                     bk.Sampling.Bottom_k.entries

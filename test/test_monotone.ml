@@ -277,8 +277,8 @@ let sim_samples () =
 
 let test_similarity_flat_bit_identity () =
   let ps = sim_samples () in
-  let reference = Sim.sums ps ~select:(fun _ -> true) in
-  let flat = Sim.sums_flat ps ~select:(fun _ -> true) in
+  let reference = Agg_oracle.similarity_sums ps ~select:(fun _ -> true) in
+  let flat = Sim.sums ps ~select:(fun _ -> true) in
   if bits reference.Sim.union_hat <> bits flat.Sim.union_hat then
     Alcotest.failf "union: reference %.17g <> flat %.17g" reference.Sim.union_hat
       flat.Sim.union_hat;
@@ -289,14 +289,15 @@ let test_similarity_flat_bit_identity () =
     (reference.Sim.union_hat > 0.);
   (* the select filter narrows both paths identically *)
   let sel h = h mod 2 = 0 in
-  let r2 = Sim.sums ps ~select:sel and f2 = Sim.sums_flat ps ~select:sel in
+  let r2 = Agg_oracle.similarity_sums ps ~select:sel in
+  let f2 = Sim.sums ps ~select:sel in
   if bits r2.Sim.union_hat <> bits f2.Sim.union_hat
      || bits r2.Sim.inter_hat <> bits f2.Sim.inter_hat
   then Alcotest.fail "filtered sums differ between reference and flat"
 
 let test_similarity_derived_queries () =
   let ps = sim_samples () in
-  let s = Sim.sums_flat ps ~select:(fun _ -> true) in
+  let s = Sim.sums ps ~select:(fun _ -> true) in
   close "l1 = union - intersection" (s.Sim.union_hat -. s.Sim.inter_hat)
     (Sim.l1 s);
   close "jaccard = intersection / union"
@@ -313,15 +314,16 @@ let test_similarity_derived_queries () =
 
 (* The whole aggregate is unbiased by per-key linearity; pin the
    aggregate against an independently-computed per-key reference sum
-   (Sum_agg.estimate with the reference estimators, no guard). *)
+   (the list-and-hashtable oracle with the reference estimators, no
+   guard). *)
 let test_similarity_matches_per_key_sum () =
   let ps = sim_samples () in
-  let s = Sim.sums_flat ps ~select:(fun _ -> true) in
+  let s = Sim.sums ps ~select:(fun _ -> true) in
   let union_ref =
-    Sum_agg.estimate ps ~est:M.max_lstar ~select:(fun _ -> true)
+    Agg_oracle.estimate ps ~est:M.max_lstar ~select:(fun _ -> true)
   in
   let inter_ref =
-    Sum_agg.estimate ps ~est:M.min_lstar ~select:(fun _ -> true)
+    Agg_oracle.estimate ps ~est:M.min_lstar ~select:(fun _ -> true)
   in
   close "union sum = per-key L*-max sum" union_ref s.Sim.union_hat;
   close "intersection sum = per-key L*-min sum" inter_ref s.Sim.inter_hat

@@ -213,6 +213,18 @@ let create_exn st ~name ?tau ?k ?p () =
   | Ok i -> i
   | Error m -> Alcotest.failf "create_instance: %s" m
 
+(* An instance's state as the batch samplers and the list oracles take
+   it: the accumulated weights (from its exported summary) and its
+   resident sample columns as lists. *)
+let weights inst = (Store.export_summary inst).Store.s_weights
+let instance_of inst = I.of_assoc (weights inst)
+
+let pps_sample inst =
+  Agg_oracle.pps_of_column ~instance_id:(Store.id inst)
+    ~tau:(Store.instance_config inst).Store.tau (Store.pps_column inst)
+
+let binary_sample inst = Agg_oracle.column_keys (Store.binary_column inst)
+
 (* A deterministic stream with heavy key repetition, so the incremental
    summaries face in-place weight growth (the interesting case). *)
 let feed_random st ~names ~records ~keys ~seed =
@@ -232,17 +244,19 @@ let test_store_incremental_matches_batch () =
   Store.flush st;
   Alcotest.(check int) "all records applied" 4000 (Store.records inst);
   Alcotest.(check int) "nothing pending" 0 (Store.pending st);
-  let acc = Store.to_instance inst in
+  let acc = instance_of inst in
   let seeds = Store.seeds st in
   Alcotest.(check bool) "pps equals batch sampler" true
-    (Store.pps_sample inst
+    (pps_sample inst
     = Sampling.Poisson.pps_sample seeds ~instance:0 ~tau:40. acc);
-  Alcotest.(check bool) "bottom-k equals batch sampler" true
-    (Store.bottom_k inst
-    = Sampling.Bottom_k.sample seeds ~family:Sampling.Rank.PPS ~instance:0
-        ~k:32 acc);
+  Alcotest.(check int) "bottom-k size equals batch sampler"
+    (List.length
+       (Sampling.Bottom_k.sample seeds ~family:Sampling.Rank.PPS ~instance:0
+          ~k:32 acc)
+         .Sampling.Bottom_k.entries)
+    (Store.bottom_k_size inst);
   Alcotest.(check bool) "binary equals batch sampler" true
-    (Store.binary_sample inst
+    (binary_sample inst
     = Aggregates.Distinct.sample_binary seeds ~p:0.3 ~instance:0 acc);
   check_float "volume" (I.total acc) (Store.volume inst);
   Alcotest.(check int) "cardinality" (I.cardinality acc)
@@ -271,13 +285,14 @@ let test_store_auto_flush () =
   Alcotest.(check int) "auto-flushed" 0 (Store.pending st)
 
 (* The coordinated-summary determinism claim: summaries and answers are
-   bit-identical whatever the shard / domain count. *)
+   bit-identical whatever the shard / domain count. The weights stand
+   for the bottom-k sample, which they determine. *)
 let summaries_of st =
   Store.flush st;
   List.map
     (fun i ->
-      ( Store.name i, Store.records i, Store.volume i,
-        Store.pps_sample i, Store.bottom_k i, Store.binary_sample i ))
+      ( Store.name i, Store.records i, Store.volume i, pps_sample i,
+        weights i, binary_sample i ))
     (Store.instances st)
 
 (* What a snapshot replay preserves bit-for-bit: the query-facing
@@ -289,8 +304,7 @@ let preserved_summaries_of st =
   List.map
     (fun i ->
       ( Store.name i, Store.id i, Store.instance_config i,
-        Store.cardinality i, Store.pps_sample i, Store.bottom_k i,
-        Store.binary_sample i ))
+        Store.cardinality i, pps_sample i, weights i, binary_sample i ))
     (Store.instances st)
 
 let test_store_ingest_many () =
@@ -610,7 +624,11 @@ let test_engine_or_flat_matches_table () =
                     eval_or_table table seeds ~ids ~p1 ~p2 ~s1 ~s2
                   in
                   let served =
-                    Engine.eval_or_flat flat seeds ~ids ~p1 ~p2 ~s1 ~s2
+                    snd
+                      (Aggregates.Distinct.classify_columns ~table:flat seeds
+                         ~ids ~p1 ~p2 (Aggregates.Column.of_keys s1)
+                         (Aggregates.Column.of_keys s2)
+                         ~select:(fun _ -> true))
                   in
                   if Int64.bits_of_float oracle <> Int64.bits_of_float served
                   then
@@ -679,8 +697,8 @@ let shared_store () =
   Store.flush st;
   st
 
-(* The served estimates must equal the reference Similarity.sums run on
-   the store's own samples — the engine's flat path is just a faster
+(* The served estimates must equal the oracle similarity sums run on
+   the store's own samples — the engine's walk is just a faster
    spelling of that sum. *)
 let test_engine_similarity_queries () =
   let st = shared_store () in
@@ -699,10 +717,10 @@ let test_engine_similarity_queries () =
       taus =
         Array.of_list
           (List.map (fun i -> (Store.instance_config i).Store.tau) insts);
-      samples = Array.of_list (List.map Store.pps_sample insts);
+      samples = Array.of_list (List.map pps_sample insts);
     }
   in
-  let s = Aggregates.Similarity.sums ps ~select:(fun _ -> true) in
+  let s = Agg_oracle.similarity_sums ps ~select:(fun _ -> true) in
   Alcotest.(check bool) "data produces a real union" true
     (s.Aggregates.Similarity.union_hat > 0.);
   List.iter
@@ -827,10 +845,10 @@ let test_engine_shared_seed_rows () =
           taus =
             Array.of_list
               (List.map (fun i -> (Store.instance_config i).Store.tau) insts);
-          samples = Array.of_list (List.map Store.pps_sample insts);
+          samples = Array.of_list (List.map pps_sample insts);
         }
       in
-      let s = Aggregates.Similarity.sums ps ~select:(fun _ -> true) in
+      let s = Agg_oracle.similarity_sums ps ~select:(fun _ -> true) in
       let dom = answer P.Dominance names in
       Alcotest.(check (option string)) "dominance estimator"
         (Some "maxdom-lstar")
@@ -846,7 +864,7 @@ let test_engine_shared_seed_rows () =
         (float_field_exn "dominance" "intersection" dom);
       let sampled =
         List.fold_left
-          (fun acc i -> ISet.union acc (ISet.of_list (Store.binary_sample i)))
+          (fun acc i -> ISet.union acc (ISet.of_list (binary_sample i)))
           ISet.empty insts
       in
       let expected = float_of_int (ISet.cardinal sampled) /. coordinated_p in
@@ -1019,7 +1037,7 @@ let batch_reference () =
   in
   let select = fun (_ : int) -> true in
   let max_l =
-    Aggregates.Sum_agg.estimate ps ~est:Estcore.Max_pps.l ~select
+    Agg_oracle.estimate ps ~est:Estcore.Max_pps.l ~select
   in
   let s1 = Aggregates.Distinct.sample_binary seeds ~p:e2e_p ~instance:0 a in
   let s2 = Aggregates.Distinct.sample_binary seeds ~p:e2e_p ~instance:1 b in
@@ -1464,32 +1482,32 @@ let multi_ref seeds ~ids ~probs samples =
 let batch_samples st inst =
   let seeds = Store.seeds st in
   let cfg = Store.instance_config inst in
-  let acc = Store.to_instance inst in
+  let acc = instance_of inst in
   ( Sampling.Poisson.pps_sample seeds ~instance:(Store.id inst)
       ~tau:cfg.Store.tau acc,
     Aggregates.Distinct.sample_binary seeds ~p:cfg.Store.p
       ~instance:(Store.id inst) acc )
 
-let column_entries (c : Aggregates.Column.t) =
-  List.init c.len (fun i -> (c.keys.(i), Float.Array.get c.vals i))
-
-let column_keys (c : Aggregates.Column.t) =
-  List.init c.len (fun i -> c.keys.(i))
-
 let check_columns st =
   List.iter
     (fun inst ->
       let pps, binary = batch_samples st inst in
-      if column_entries (Store.pps_column inst) <> pps.Sampling.Poisson.entries
+      if
+        Agg_oracle.column_entries (Store.pps_column inst)
+        <> pps.Sampling.Poisson.entries
       then
         fail_report "%s: PPS column differs from the batch sample"
           (Store.name inst);
-      if column_keys (Store.binary_column inst) <> binary then
+      if binary_sample inst <> binary then
         fail_report "%s: binary column differs from the batch sample"
           (Store.name inst);
       if
         Store.bottom_k_size inst
-        <> List.length (Store.bottom_k inst).Sampling.Bottom_k.entries
+        <> List.length
+             (Sampling.Bottom_k.sample (Store.seeds st)
+                ~family:Sampling.Rank.PPS ~instance:(Store.id inst)
+                ~k:(Store.instance_config inst).Store.k (instance_of inst))
+               .Sampling.Bottom_k.entries
       then fail_report "%s: bottom-k size" (Store.name inst))
     (Store.instances st)
 
@@ -1513,7 +1531,7 @@ let reference_answer st kind insts =
   in
   let binaries = Array.of_list (List.map snd samples) in
   let head e name = [ ("estimate", P.jfloat e); ("estimator", P.jstr name) ] in
-  let sum est = Aggregates.Sum_agg.estimate ps ~est ~select:(fun _ -> true) in
+  let sum est = Agg_oracle.estimate ps ~est ~select:(fun _ -> true) in
   let degraded = ref 0 in
   let fields =
     match (kind, (Store.config st).Store.mode) with
@@ -1521,7 +1539,7 @@ let reference_answer st kind insts =
         Error (Printf.sprintf "l1 takes exactly two instances (got %d)" r)
     | ( (P.Max | P.Dominance | P.Union | P.Intersection | P.Jaccard | P.L1),
         Shared ) ->
-        let s = Aggregates.Similarity.sums ps ~select:(fun _ -> true) in
+        let s = Agg_oracle.similarity_sums ps ~select:(fun _ -> true) in
         let u = s.Aggregates.Similarity.union_hat in
         let i = s.Aggregates.Similarity.inter_hat in
         let name, v =

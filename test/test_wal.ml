@@ -230,7 +230,8 @@ let weights_of st name =
   let acc = ref [] in
   Sampling.Instance.iter
     (fun k v -> acc := (k, v) :: !acc)
-    (Store.to_instance (Option.get (Store.find st name)));
+    (Sampling.Instance.of_assoc
+       (Store.export_summary (Option.get (Store.find st name))).Store.s_weights);
   List.sort compare !acc
 
 (* Bit-identical state and answers vs. the uninterrupted prefix run. *)

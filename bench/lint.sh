@@ -124,8 +124,8 @@ if [ -n "$bk_hits" ]; then
     status=1
 fi
 
-# Codec discipline: a summary has one codec, Merge.payload /
-# Merge.of_lines, and every snapshot section (file, WAL checkpoint,
+# Codec discipline: a summary has one codec, Merge.add_payload /
+# Merge.section_line, and every snapshot section (file, WAL checkpoint,
 # SYNC) is that payload. The retired `instance <name> …` section header
 # (written as "instance %s …", matched as "instance") and a second
 # spelling table for the seed mode (Store.mode_name / mode_of_name is
@@ -204,6 +204,26 @@ enum_hits=$(grep -nE 'ISet|ITbl|Hashtbl|sampled_keys' \
 if [ -n "$enum_hits" ]; then
     echo "lint: key sets, hashtables and sampled_keys are banned in the sum aggregates — walk the columns:" >&2
     echo "$enum_hits" >&2
+    status=1
+fi
+
+# Column discipline: a summary is two ascending unboxed columns from
+# export to apply. The store sorts an export's keys in place and the
+# merge walks columns, so a list sort in either would bring the boxed
+# pair lists back; the router scans each reply's payload block in place
+# (Merge.of_block), and the line-list reader is for callers holding
+# lines already.
+colsort_hits=$(grep -nE 'List\.(stable_)?sort' \
+    "$root/lib/server/store.ml" "$root/lib/server/merge.ml" 2>/dev/null)
+if [ -n "$colsort_hits" ]; then
+    echo "lint: list sorts are banned in lib/server/store.ml and merge.ml — sort the key columns:" >&2
+    echo "$colsort_hits" >&2
+    status=1
+fi
+router_lines_hits=$(grep -n 'Merge\.of_lines' "$root/lib/server/router.ml" 2>/dev/null)
+if [ -n "$router_lines_hits" ]; then
+    echo "lint: Merge.of_lines is banned in the router — scan each reply block with Merge.of_block:" >&2
+    echo "$router_lines_hits" >&2
     status=1
 fi
 

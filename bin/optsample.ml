@@ -988,7 +988,8 @@ let route_cmd =
       | None -> mk "127.0.0.1" s
   in
   let run host port socket backends master shared tau k p retries retry_base_ms
-      timeout_ms backlog max_line_bytes max_conns =
+      timeout_ms backlog max_line_bytes max_conns trace metrics =
+    with_obs ~trace ~metrics @@ fun () ->
     if backends = [] then begin
       Format.eprintf "route needs at least one --backend@.";
       exit 1
@@ -1070,7 +1071,7 @@ let route_cmd =
     Term.(
       const run $ host_arg $ port_arg $ socket_arg $ backends $ master $ shared
       $ tau $ k $ p $ retries $ retry_base_ms $ timeout_ms $ backlog
-      $ max_line_bytes $ max_conns)
+      $ max_line_bytes $ max_conns $ trace_arg $ metrics_arg)
 
 (* ---------- exists ---------- *)
 

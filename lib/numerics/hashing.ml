@@ -33,6 +33,10 @@ let[@inline] to_unit_open h =
 
 let[@inline] uniform_int ~salt h = to_unit_open (hash_int ~salt h)
 
+let bucket_int ~salt k n =
+  Int64.to_int
+    (Int64.rem (Int64.shift_right_logical (hash_int ~salt k) 1) (Int64.of_int n))
+
 let uniform_int_into ~salt h (dst : floatarray) di =
   Float.Array.set dst di (uniform_int ~salt h)
 

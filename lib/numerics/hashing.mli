@@ -17,6 +17,11 @@ val combine : int64 -> int64 -> int64
 val hash_int : salt:int64 -> int -> int64
 (** Hash an integer key under [salt]. *)
 
+val bucket_int : salt:int64 -> int -> int -> int
+(** [bucket_int ~salt k n]: the top 63 bits of [hash_int ~salt k]
+    reduced mod [n] ([n > 0]), in [\[0, n)] — a key's bucket among [n],
+    computed without allocating. *)
+
 val hash_string : salt:int64 -> string -> int64
 (** FNV-1a over the bytes, post-finalized with {!mix64} and [salt]. *)
 

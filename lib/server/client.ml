@@ -29,10 +29,18 @@ let handshake addr conn =
                  Protocol.version)
         | None -> Error (Printf.sprintf "greeting has no protocol field: %S" greeting))
 
+(* Over TCP every request is a small write awaiting a reply, which is
+   what Nagle's algorithm delays until the peer's delayed ACK; Unix
+   sockets have no such delay and are left as they are. *)
 let dial sockaddr =
   let domain = Unix.domain_of_sockaddr sockaddr in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  match Unix.connect fd sockaddr with
+  match
+    Unix.connect fd sockaddr;
+    match sockaddr with
+    | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+    | Unix.ADDR_UNIX _ -> ()
+  with
   | () -> Ok (Protocol.Conn.of_fd fd)
   | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -154,7 +162,7 @@ let request_retry ?(retry = default_retry) ?(sleep = default_sleep) t line =
   go 0
 
 (* Multi-line responses (PULL, SYNC): the header's "lines" field says
-   how many raw payload lines follow. *)
+   how many raw payload lines follow; they are read as one block. *)
 let drop t conn =
   Protocol.Conn.close conn;
   t.conn <- None
@@ -166,28 +174,31 @@ let read_payload t conn header =
     else None
   in
   match announced with
-  | None -> Ok (header, [])
-  | Some n ->
-      let rec go i acc =
-        if i = n then Ok (header, List.rev acc)
-        else
-          match Protocol.Conn.input_line_opt conn with
-          | Some l -> go (i + 1) (l :: acc)
-          | None ->
-              drop t conn;
-              Error
-                (Printf.sprintf "connection closed after %d of %d payload lines"
-                   i n)
-      in
-      go 0 []
+  | None -> Ok (header, "")
+  | Some n -> (
+      match Protocol.Conn.input_block conn n with
+      | Ok block -> Ok (header, block)
+      | Error i ->
+          drop t conn;
+          Error
+            (Printf.sprintf "connection closed after %d of %d payload lines" i
+               n))
 
 (* Pipelining: every request line goes out in one write before any
    response is read. A drop before the first response header arrives
    left nothing half-read, so the connection is re-dialed once and the
    requests resent (a restarted backend is transparent, as with
    request_retry); a drop after it is an error — there is no way to
-   resume a half-read response. *)
-type pipeline = { p_client : t; p_lines : string list; p_sent : bool }
+   resume a half-read response. The responses are read one at a time,
+   so a caller can use each as it arrives. *)
+type pipeline = {
+  p_client : t;
+  p_lines : string list;
+  p_count : int;
+  p_sent : bool;  (* written on the connection the first read uses *)
+  mutable p_read : int;  (* responses read so far *)
+  mutable p_failed : string option;  (* set once a read fails *)
+}
 
 let write_lines t lines =
   match t.conn with
@@ -200,52 +211,85 @@ let write_lines t lines =
           false)
 
 let pipeline_send t lines =
-  { p_client = t; p_lines = lines; p_sent = (lines = [] || write_lines t lines) }
+  {
+    p_client = t;
+    p_lines = lines;
+    p_count = List.length lines;
+    p_sent = lines = [] || write_lines t lines;
+    p_read = 0;
+    p_failed = None;
+  }
 
-let read_responses t n =
+let read_response t =
   match t.conn with
   | None -> `Unread
-  | Some conn ->
-      let rec go i acc =
-        if i = n then `Read (List.rev acc)
-        else
-          match Protocol.Conn.input_line_opt conn with
-          | None ->
-              drop t conn;
-              if i = 0 then `Unread
-              else
-                `Failed
-                  (Printf.sprintf "connection closed after %d of %d responses"
-                     i n)
-          | Some header -> (
-              match read_payload t conn header with
-              | Ok r -> go (i + 1) (r :: acc)
-              | Error m -> `Failed m)
-      in
-      go 0 []
+  | Some conn -> (
+      match Protocol.Conn.input_line_opt conn with
+      | None ->
+          drop t conn;
+          `Unread
+      | Some header -> (
+          match read_payload t conn header with
+          | Ok r -> `Read r
+          | Error m -> `Failed m))
 
-let pipeline_recv { p_client = t; p_lines = lines; p_sent } =
-  let n = List.length lines in
-  let first =
-    if n = 0 then `Read [] else if p_sent then read_responses t n else `Unread
+let pipeline_next p =
+  let t = p.p_client in
+  let fail m =
+    p.p_failed <- Some m;
+    Error m
   in
-  match first with
-  | `Read rs -> Ok rs
-  | `Failed m -> Error m
-  | `Unread -> (
-      match reconnect t with
+  let got r =
+    p.p_read <- p.p_read + 1;
+    Ok r
+  in
+  match p.p_failed with
+  | Some m -> Error m
+  | None when p.p_read >= p.p_count -> Error "no response left to read"
+  | None -> (
+      match if p.p_sent || p.p_read > 0 then read_response t else `Unread with
+      | `Read r -> got r
+      | `Failed m -> fail m
+      | `Unread when p.p_read > 0 ->
+          fail
+            (Printf.sprintf "connection closed after %d of %d responses"
+               p.p_read p.p_count)
+      | `Unread -> (
+          match reconnect t with
+          | Error m -> fail m
+          | Ok _ -> (
+              if not (write_lines t p.p_lines) then fail "connection closed"
+              else
+                match read_response t with
+                | `Read r -> got r
+                | `Failed m -> fail m
+                | `Unread -> fail "connection closed")))
+
+let pipeline_recv p =
+  let rec go acc =
+    if p.p_read >= p.p_count then Ok (List.rev acc)
+    else
+      match pipeline_next p with
+      | Ok r -> go (r :: acc)
       | Error _ as e -> e
-      | Ok _ -> (
-          if not (write_lines t lines) then Error "connection closed"
-          else
-            match read_responses t n with
-            | `Read rs -> Ok rs
-            | `Failed m -> Error m
-            | `Unread -> Error "connection closed"))
+  in
+  go []
+
+(* The block's lines as {!Protocol.Conn.input_line_opt} reads them: a
+   final newline ends the last line, and each line loses one trailing
+   CR. *)
+let lines_of_block block =
+  if block = "" then []
+  else
+    let n = String.length block in
+    let body =
+      if block.[n - 1] = '\n' then String.sub block 0 (n - 1) else block
+    in
+    List.map Protocol.Conn.strip_cr (String.split_on_char '\n' body)
 
 let request_lines t line =
   match pipeline_recv (pipeline_send t [ line ]) with
-  | Ok [ r ] -> Ok r
+  | Ok [ (header, block) ] -> Ok (header, lines_of_block block)
   | Ok rs ->
       Error (Printf.sprintf "%d responses to one request" (List.length rs))
   | Error _ as e -> e

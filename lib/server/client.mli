@@ -1,6 +1,10 @@
 (** Line-protocol client for the daemon (tests, the [optsample client]
     subcommand, and the replay bench).
 
+    Over TCP the socket has [TCP_NODELAY] set, so a small request is
+    sent at once instead of waiting out the peer's delayed ACK; Unix
+    sockets are left as they are.
+
     [connect_*] checks the server greeting — wrong protocol version or a
     non-greeting first line is an [Error], per the versioning contract in
     {!Protocol}. *)
@@ -21,11 +25,12 @@ val request : t -> string -> (string, string) result
 val request_lines : t -> string -> (string * string list, string) result
 (** Send a request whose response may be multi-line (PULL, SYNC): read
     the JSON header, then exactly as many raw payload lines as its
-    [lines] field announces. A response without a [lines] field (an
-    error object, or any single-line response) returns with an empty
-    payload list. A dropped connection is re-dialed once before the
-    request; a drop {e mid-payload} is an [Error] (a half-read payload
-    cannot be resumed). *)
+    [lines] field announces — {!pipeline_recv}'s block, cut into lines
+    without their newlines and trailing CRs. A response without a
+    [lines] field (an error object, or any single-line response)
+    returns with an empty payload list. A dropped connection is
+    re-dialed once before the request; a drop {e mid-payload} is an
+    [Error] (a half-read payload cannot be resumed). *)
 
 (** {2 Pipelining} *)
 
@@ -36,11 +41,22 @@ val pipeline_send : t -> string list -> pipeline
     several servers, then {!pipeline_recv} from each, and they all work
     at once. For requests that may be sent twice (reads such as PULL). *)
 
-val pipeline_recv : pipeline -> ((string * string list) list, string) result
-(** The responses to a {!pipeline_send}, in order, each read like
-    {!request_lines}. A connection that dropped before the first
-    response header arrived is re-dialed once and the lines resent; a
-    drop after it is an [Error]. *)
+val pipeline_next : pipeline -> (string * string, string) result
+(** The next response to a {!pipeline_send}, read as {!pipeline_recv}
+    reads each: a caller can use one response while the server still
+    works on the next. After a failed read every later call fails the
+    same way; [Error] too once every response is read. *)
+
+val pipeline_recv : pipeline -> ((string * string) list, string) result
+(** The responses to a {!pipeline_send} not yet read by
+    {!pipeline_next}, in order: each its JSON header
+    and, when the header announces [lines], those lines as one block
+    cut out of the connection's read buffer
+    ({!Protocol.Conn.input_block}: every line newline-terminated, CRs
+    kept) — [""] for a single-line response. {!Merge.of_block} reads a
+    PULL payload from it in place. A connection that dropped before
+    the first response header arrived is re-dialed once and the lines
+    resent; a drop after it is an [Error]. *)
 
 (** {2 Retry} *)
 

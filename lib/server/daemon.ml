@@ -100,6 +100,10 @@ let strip_cr line =
 
 let ns_to_s ns = Int64.to_float ns /. 1e9
 
+(* Queued output past which a connection is written to before its next
+   request is handled. *)
+let large_response = 1 lsl 16
+
 (* --- the event loop --- *)
 
 (* The loop itself is transport + framing only; what a request *means*
@@ -119,6 +123,14 @@ let serve_handlers ?(config = default_config) handlers sock =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   Unix.set_nonblock sock;
+  (* A response over TCP goes out at once: with Nagle's algorithm a
+     write after a small one waits for the peer's delayed ACK. Unix
+     sockets have no such delay. *)
+  let tcp =
+    match Unix.getsockname sock with
+    | Unix.ADDR_INET _ -> true
+    | Unix.ADDR_UNIX _ | (exception Unix.Unix_error _) -> false
+  in
   let max_conns = max 1 config.max_conns in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
   let draining = ref false in
@@ -250,6 +262,11 @@ let serve_handlers ?(config = default_config) handlers sock =
         if String.length line > config.max_line_bytes then too_long c
         else begin
           handle_line c (strip_cr line);
+          (* A large response (a PULL or SYNC payload) starts out before
+             the next request runs, so a pipelining peer reads it while
+             this loop works on the next; small ones still leave
+             together. A dead peer is found again by the next flush. *)
+          if c.wbytes >= large_response then ignore (flush_writes c);
           process_buffer c
         end
       end
@@ -305,6 +322,9 @@ let serve_handlers ?(config = default_config) handlers sock =
         | fd, _ ->
             Numerics.Obs.count "server.accept";
             Unix.set_nonblock fd;
+            (if tcp then
+               try Unix.setsockopt fd Unix.TCP_NODELAY true
+               with Unix.Unix_error _ -> ());
             let c =
               {
                 fd;

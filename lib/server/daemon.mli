@@ -9,7 +9,9 @@
     loop). Each connection is a state machine: an incremental read
     buffer carrying the byte-bounded line discipline, a buffered write
     queue drained as the socket accepts bytes, and an optional in-flight
-    [INGESTN] batch collecting body lines.
+    [INGESTN] batch collecting body lines. A connection accepted over
+    TCP has [TCP_NODELAY] set, so a response is not held back for the
+    client's delayed ACK; Unix-socket connections are left as they are.
 
     Hardening, preserved from the sequential loop and extended:
 

@@ -414,23 +414,31 @@ let handle_request t req =
                 Some records
             | _ -> None
           in
-          let lines = Merge.payload (Store.export_summary ?since inst) in
+          (* Export and encode: the changed keys sorted in two columns,
+             then written line by line into the one buffer the response
+             is cut from. *)
+          let buf, lines =
+            Numerics.Obs.span ~cat:"server" "server.pull.export" @@ fun () ->
+            Store.export_into ?since inst (fun s keys ws n ->
+                let buf = Buffer.create (64 + (32 * n)) in
+                (buf, Merge.add_columns buf s keys ws n))
+          in
           let echo =
             match since with Some r -> [ ("since", P.jint r) ] | None -> []
           in
-          ( P.ok_lines
+          ( P.ok_block
               ([ ("name", P.jstr name); ("id", P.jint (Store.id inst));
                  ("master", P.jint cfg.Store.master);
                  ("mode", P.jstr (Store.mode_name cfg.Store.mode));
                  ("epoch", P.jint epoch) ]
               @ echo)
-              lines,
+              ~lines buf,
             Continue ))
   | P.Sync -> (
       Store.flush st;
       (* Checkpoint-then-ship: with a WAL attached the shipped lines are
          exactly the new checkpoint's content (Snapshot.to_string is
-         Snapshot.lines of the same flushed store), so a follower holding
+         Snapshot.add_text of the same flushed store), so a follower holding
          the payload holds the checkpoint. *)
       let extra =
         match t.t_wal with
@@ -445,15 +453,14 @@ let handle_request t req =
       | Ok extra ->
           let cfg = Store.config st in
           let insts = Store.instances st in
-          let lines =
-            Snapshot.lines cfg (List.map Store.export_summary insts)
-          in
-          ( P.ok_lines
+          let buf = Buffer.create 4096 in
+          let lines = Snapshot.add_text buf st in
+          ( P.ok_block
               (("instances", P.jint (List.length insts))
                :: ("master", P.jint cfg.Store.master)
                :: ("mode", P.jstr (Store.mode_name cfg.Store.mode))
                :: extra)
-              lines,
+              ~lines buf,
             Continue ))
   | P.Stats -> (run_stats st, Continue)
   | P.Flush -> (

@@ -103,8 +103,8 @@ val handle_ingest_many : t -> name:string -> (int * float) array -> string
 val handle_request : t -> Protocol.request -> string * action
 (** Execute one request; returns the response and what the session
     should do next ([Close] after QUIT, [Stop] after SHUTDOWN). Most
-    responses are one JSON line. [PULL] answers {!Protocol.ok_lines}
-    with the instance's {!Merge.payload} and the store's {!Store.epoch}
+    responses are one JSON line. [PULL] answers {!Protocol.ok_block}
+    with the instance's payload ({!Merge.add_payload}) and the store's {!Store.epoch}
     in the header; given a [since=] cursor of this epoch, the payload is
     that of {!Store.export_summary}[ ~since] and the header echoes the
     cursor's records as [since]. [SYNC] answers the full snapshot text

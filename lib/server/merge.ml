@@ -1,8 +1,9 @@
 (* Bit-deterministic merge of instance summaries — the algebra cluster
    mode stands on.
 
-   A summary is an instance's counters and weight map; every sample a
-   query reads is a pure function of the weights and the recorded seeds,
+   A summary is an instance's counters and its weights as two ascending
+   columns; every sample a query reads is a pure function of the
+   weights and the recorded seeds,
    rebuilt by Store.install_summary. So merging two stores' summaries is
    only: weights summed pointwise (keys in one side copy through),
    records summed, volumes summed. Hence merge(ingest A, ingest B) ≡
@@ -16,21 +17,8 @@ let icfg_equal (a : Store.instance_config) (b : Store.instance_config) =
   && a.Store.k = b.Store.k
   && Float.equal a.Store.p b.Store.p
 
-(* Sorted-assoc sum of the weight maps. *)
-let merge_weights wa wb =
-  let rec go wa wb acc =
-    match (wa, wb) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | (ka, va) :: ta, (kb, vb) :: tb ->
-        if ka < kb then go ta wb ((ka, va) :: acc)
-        else if kb < ka then go wa tb ((kb, vb) :: acc)
-        else go ta tb ((ka, va +. vb) :: acc)
-  in
-  go wa wb []
-
-(* [_seeds] is kept in the signature so callers state the seed universe
-   the summaries share; the sum itself does not read it. *)
-let merge _seeds (a : Store.summary) (b : Store.summary) =
+(* The checks a merge makes on two sides' headers. *)
+let compatible (a : Store.summary) (b : Store.summary) =
   if a.Store.s_name <> b.Store.s_name then
     Error
       (Printf.sprintf "cannot merge instance %S with %S" a.Store.s_name
@@ -45,21 +33,78 @@ let merge _seeds (a : Store.summary) (b : Store.summary) =
          "instance %S has different tau/k/p on the two sides (cluster \
           CREATE must fan identical parameters to every daemon)"
          a.Store.s_name)
-  else
-    Ok
-      {
-        a with
-        Store.s_records = a.Store.s_records + b.Store.s_records;
-        s_volume = a.Store.s_volume +. b.Store.s_volume;
-        s_weights = merge_weights a.Store.s_weights b.Store.s_weights;
-      }
+  else Ok ()
 
-let merge_all seeds = function
+(* One k-way walk over the parts' ascending key columns: a key several
+   parts hold gets their weights summed in part order, which is the
+   left fold's ((w0 + w1) + w2); the counters are summed the same way.
+   Disjoint parts (the router's placement) copy through. *)
+let union (first : Store.summary) parts =
+  let parts = Array.of_list parts in
+  let np = Array.length parts in
+  let total =
+    Array.fold_left (fun acc s -> acc + Array.length s.Store.s_keys) 0 parts
+  in
+  let keys = Array.make total 0 and ws = Float.Array.create total in
+  let at = Array.make np 0 in
+  let n = ref 0 in
+  let continue = ref true in
+  while !continue do
+    (* The least key any part has left, or none. *)
+    let least = ref max_int and found = ref false in
+    for p = 0 to np - 1 do
+      let ks = parts.(p).Store.s_keys in
+      if at.(p) < Array.length ks && ((not !found) || ks.(at.(p)) < !least)
+      then begin
+        least := ks.(at.(p));
+        found := true
+      end
+    done;
+    if not !found then continue := false
+    else begin
+      let w = ref 0. and started = ref false in
+      for p = 0 to np - 1 do
+        let s = parts.(p) in
+        if at.(p) < Array.length s.Store.s_keys && s.Store.s_keys.(at.(p)) = !least
+        then begin
+          let v = Float.Array.get s.Store.s_weights at.(p) in
+          w := if !started then !w +. v else v;
+          started := true;
+          at.(p) <- at.(p) + 1
+        end
+      done;
+      keys.(!n) <- !least;
+      Float.Array.set ws !n !w;
+      incr n
+    end
+  done;
+  let n = !n in
+  {
+    first with
+    Store.s_records =
+      Array.fold_left (fun acc s -> acc + s.Store.s_records) 0 parts;
+    s_volume =
+      Array.fold_left
+        (fun acc s -> acc +. s.Store.s_volume)
+        first.Store.s_volume
+        (Array.sub parts 1 (np - 1));
+    s_keys = (if n = total then keys else Array.sub keys 0 n);
+    s_weights = (if n = total then ws else Float.Array.sub ws 0 n);
+  }
+
+(* [_seeds] is kept in the signature so callers state the seed universe
+   the summaries share; the sum itself does not read it. *)
+let merge_all _seeds = function
   | [] -> Error "cannot merge an empty list of summaries"
-  | s :: rest ->
-      List.fold_left
-        (fun acc b -> Result.bind acc (fun a -> merge seeds a b))
-        (Ok s) rest
+  | [ s ] -> Ok s
+  | first :: rest as parts ->
+      let rec check = function
+        | [] -> Ok (union first parts)
+        | b :: more -> Result.bind (compatible first b) (fun () -> check more)
+      in
+      check rest
+
+let merge seeds a b = merge_all seeds [ a; b ]
 
 (* --- wire payload ---
 
@@ -87,27 +132,25 @@ let add_weight_line buf key v =
   Buffer.add_char buf ' ';
   Protocol.add_hex buf v
 
-let payload (s : Store.summary) =
-  let buf = Buffer.create 48 in
-  let[@tail_mod_cons] rec lines = function
-    | [] -> [ "end" ]
-    | (k, v) :: rest ->
-        Buffer.clear buf;
-        add_weight_line buf k v;
-        let line = Buffer.contents buf in
-        line :: lines rest
-  in
-  header_line s :: lines s.Store.s_weights
-
-let add_payload buf (s : Store.summary) =
+let add_columns buf (s : Store.summary) keys ws n =
   Buffer.add_string buf (header_line s);
   Buffer.add_char buf '\n';
-  List.iter
-    (fun (k, v) ->
-      add_weight_line buf k v;
-      Buffer.add_char buf '\n')
-    s.Store.s_weights;
-  Buffer.add_string buf "end\n"
+  for i = 0 to n - 1 do
+    add_weight_line buf keys.(i) (Float.Array.get ws i);
+    Buffer.add_char buf '\n'
+  done;
+  Buffer.add_string buf "end\n";
+  n + 2
+
+let add_payload buf (s : Store.summary) =
+  ignore
+    (add_columns buf s s.Store.s_keys s.Store.s_weights
+       (Array.length s.Store.s_keys))
+
+let payload s =
+  let buf = Buffer.create (64 + (32 * Array.length s.Store.s_keys)) in
+  add_payload buf s;
+  String.split_on_char '\n' (Buffer.sub buf 0 (Buffer.length buf - 1))
 
 let ( let* ) = Result.bind
 
@@ -160,7 +203,8 @@ let parse_header line =
               s_cfg;
               s_records = records;
               s_volume = volume;
-              s_weights = [];
+              s_keys = [||];
+              s_weights = Float.Array.create 0;
             }
   | _ ->
       Error
@@ -178,11 +222,49 @@ let parse_header line =
    check). A weight is a float > 0: +infinity included, since finite
    records can sum past [max_float] as the volume can, and NaN refused. *)
 
-type section = { base : Store.summary; mutable rev : (int * float) list }
+type section = {
+  base : Store.summary;
+  mutable keys : int array;
+  mutable ws : floatarray;
+  mutable n : int;
+}
+
 type step = More | Done of Store.summary | Bad of string
 
-let section header =
-  Result.map (fun base -> { base; rev = [] }) (parse_header header)
+(* The columns start at [capacity] entries, or the header's records if
+   fewer (a key needs a record), and double as lines come: a caller that
+   knows the line count, or a restore whose records are its key count,
+   reads the payload with no copy. *)
+let section ?(capacity = 16) header =
+  Result.map
+    (fun base ->
+      let cap = max 1 (min capacity base.Store.s_records) in
+      { base; keys = Array.make cap 0; ws = Float.Array.create cap; n = 0 })
+    (parse_header header)
+
+let push sec key v =
+  if sec.n = Array.length sec.keys then begin
+    let cap = 2 * sec.n in
+    let keys = Array.make cap 0 and ws = Float.Array.create cap in
+    Array.blit sec.keys 0 keys 0 sec.n;
+    Float.Array.blit sec.ws 0 ws 0 sec.n;
+    sec.keys <- keys;
+    sec.ws <- ws
+  end;
+  sec.keys.(sec.n) <- key;
+  Float.Array.set sec.ws sec.n v;
+  sec.n <- sec.n + 1
+
+let finish sec =
+  let n = sec.n in
+  {
+    sec.base with
+    Store.s_keys =
+      (if n = Array.length sec.keys then sec.keys else Array.sub sec.keys 0 n);
+    s_weights =
+      (if n = Float.Array.length sec.ws then sec.ws
+       else Float.Array.sub sec.ws 0 n);
+  }
 
 let bad_line s pos stop =
   Bad
@@ -193,7 +275,7 @@ let bad_line s pos stop =
 (* The line split at its spaces must be [end] or [w <key> <weight>]. *)
 let section_line sec s pos stop =
   if stop - pos = 3 && s.[pos] = 'e' && s.[pos + 1] = 'n' && s.[pos + 2] = 'd'
-  then Done { sec.base with Store.s_weights = List.rev sec.rev }
+  then Done (finish sec)
   else if stop - pos < 2 || s.[pos] <> 'w' || s.[pos + 1] <> ' ' then
     bad_line s pos stop
   else
@@ -216,18 +298,18 @@ let section_line sec s pos stop =
           | v when Float.is_nan v || v = neg_infinity ->
               Bad (Printf.sprintf "weight %g is not finite" v)
           | v when v <= 0. -> Bad (Printf.sprintf "weight %g must be > 0" v)
-          | v -> (
-              match sec.rev with
-              | (prev, _) :: _ when key <= prev ->
-                  Bad (Printf.sprintf "weight keys out of order at %d" key)
-              | _ ->
-                  sec.rev <- (key, v) :: sec.rev;
-                  More))
+          | v ->
+              if sec.n > 0 && key <= sec.keys.(sec.n - 1) then
+                Bad (Printf.sprintf "weight keys out of order at %d" key)
+              else begin
+                push sec key v;
+                More
+              end)
 
 let of_lines = function
   | [] -> Error "empty summary payload"
   | header :: lines ->
-      let* sec = section header in
+      let* sec = section ~capacity:(List.length lines - 1) header in
       let rec go = function
         | [] -> Error "truncated summary payload (missing 'end')"
         | l :: rest -> (
@@ -238,6 +320,46 @@ let of_lines = function
             | Done _ -> Error "trailing garbage after 'end'")
       in
       go lines
+
+(* A payload as the client hands it over: one block of newline-ended
+   lines (the last may lack its newline), each read as a span of the
+   block with one trailing CR dropped — the lines {!of_lines} would be
+   given, never cut out. The line count (the reply header's, or counted
+   here) sizes the columns exactly. *)
+let of_block ?lines s =
+  let len = String.length s in
+  let rec eol i =
+    if i = len || String.unsafe_get s i = '\n' then i else eol (i + 1)
+  in
+  let span_end pos e = if e > pos && s.[e - 1] = '\r' then e - 1 else e in
+  if len = 0 then Error "empty summary payload"
+  else
+    let lines =
+      match lines with
+      | Some n -> n
+      | None ->
+          let n = ref 0 in
+          for i = 0 to len - 1 do
+            if String.unsafe_get s i = '\n' then incr n
+          done;
+          !n
+    in
+    let first = eol 0 in
+    (* A line takes a byte at least, whatever [lines] says. *)
+    let* sec =
+      section ~capacity:(min (lines - 2) len) (String.sub s 0 (span_end 0 first))
+    in
+    let rec go pos =
+      if pos >= len then Error "truncated summary payload (missing 'end')"
+      else
+        let e = eol pos in
+        match section_line sec s pos (span_end pos e) with
+        | More -> go (e + 1)
+        | Bad m -> Error m
+        | Done sum when e + 1 >= len -> Ok sum
+        | Done _ -> Error "trailing garbage after 'end'"
+    in
+    go (first + 1)
 
 (* Build a queryable store from merged summaries: instances are
    installed under their recorded ids (seed derivations match the
@@ -256,13 +378,14 @@ let materialize ?pool cfg summaries =
 
 (* A resident store kept across queries (the router's) is advanced one
    PULL round at a time: an instance it does not hold yet is installed
-   from the partitions' full payloads, one it holds is advanced by their
-   deltas. Either way the partitions are merged first, so the store sees
-   exactly what [materialize] of the merged full payloads would. *)
+   from the union of the partitions' full payloads; one it holds is
+   advanced by their deltas, each partition's columns applied as they
+   are, since the router's placement makes them key-disjoint. Either
+   way the store sees exactly what [materialize] of the merged full
+   payloads would. *)
 let install st parts =
   let* s = merge_all (Store.seeds st) parts in
   Result.map ignore (Store.install_summary st s)
 
-let apply_deltas st parts =
-  let* d = merge_all (Store.seeds st) parts in
-  Result.map ignore (Store.apply_delta st d)
+let apply_deltas ?owner st parts =
+  Result.map ignore (Store.apply_delta ?owner st parts)

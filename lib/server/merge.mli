@@ -2,10 +2,14 @@
     cluster mode.
 
     A {!Store.summary} is an instance's counters and its accumulated
-    per-key weights; every sample a query reads is a pure function of
-    those weights and the recorded seeds, rebuilt when the summary is
-    installed ({!Store.install_summary}). Merging therefore only sums:
-    weights pointwise, records and volume as totals.
+    per-key weights, held as two ascending unboxed columns (keys in an
+    [int array], weights in a [floatarray]); every sample a query reads
+    is a pure function of those weights and the recorded seeds, rebuilt
+    when the summary is installed ({!Store.install_summary}). Merging
+    therefore only sums: weights pointwise, records and volume as
+    totals. Every path here — writing a payload, scanning one, merging,
+    installing, applying a delta — runs on those columns; no summary is
+    ever a list of pairs.
 
     Laws, tested in [test/test_merge.ml]: [merge] is commutative,
     associative up to bit-identity, has the empty summary as identity,
@@ -22,13 +26,16 @@ val merge :
   Store.summary ->
   Store.summary ->
   (Store.summary, string) result
-(** The seeds name the universe both stores share (same master seed and
-    mode); the sum does not read them, since samples are rebuilt at
-    install time. *)
+(** [merge seeds a b] is [merge_all seeds [a; b]]. The seeds name the
+    universe both stores share (same master seed and mode); the sum does
+    not read them, since samples are rebuilt at install time. *)
 
 val merge_all :
   Sampling.Seeds.t -> Store.summary list -> (Store.summary, string) result
-(** Left fold of {!merge}; [Error] on an empty list. *)
+(** One k-way walk over the summaries' key columns: a key several hold
+    gets their weights summed in list order, records are summed and
+    volumes added left to right — bit for bit the left fold of pairwise
+    merges. [Error] on an empty list or a header mismatch. *)
 
 (** {2 Wire payload}
 
@@ -45,12 +52,21 @@ val merge_all :
     every instance section of a snapshot ({!Snapshot}: files, WAL
     checkpoints, SYNC) is one payload. *)
 
-val payload : Store.summary -> string list
-(** Serialize; [of_lines (payload s) = Ok s]. *)
-
 val add_payload : Buffer.t -> Store.summary -> unit
-(** Append the {!payload} lines, each newline-terminated: how a
-    snapshot writes a large instance without a list of its lines. *)
+(** Append the payload's lines, each newline-terminated, straight from
+    the summary's columns: how PULL, SYNC, SNAPSHOT and checkpoints
+    write it, with no list of lines. *)
+
+val add_columns :
+  Buffer.t -> Store.summary -> int array -> floatarray -> int -> int
+(** [add_columns buf s keys ws n]: the payload with [s]'s header line
+    and the first [n] entries of [keys] and [ws] as its weights (as
+    {!Store.export_into} hands them over); returns the lines written,
+    [n + 2]. *)
+
+val payload : Store.summary -> string list
+(** The payload's lines, without newlines: {!add_payload} cut into lines
+    ([of_lines (payload s) = Ok s]). *)
 
 val add_weight_line : Buffer.t -> int -> float -> unit
 (** Append one [w <key> <weight>] line (no newline), byte for byte
@@ -64,22 +80,36 @@ val of_lines : string list -> (Store.summary, string) result
     all errors. An infinite weight or volume is accepted: finite records
     can sum past [max_float]. *)
 
+val of_block : ?lines:int -> string -> (Store.summary, string) result
+(** Read a payload handed over as one block of newline-terminated lines
+    (the last line may lack its newline), as {!Client.pipeline_recv}
+    returns a reply's payload: each line is a span of the block, one
+    trailing CR dropped, fed to {!section_line}, so the block is never
+    cut into lines and the weights go straight into columns sized by
+    the line count — [lines] when the caller knows it (a reply header
+    announces it), else counted. Accepts and refuses exactly what
+    {!of_lines} does on the block's lines. *)
+
 (** {3 Reading a payload in place}
 
-    How {!of_lines} and a snapshot read a payload: the header line
-    starts a {!section}, then each line is fed to {!section_line} as a
-    span of a string, so a large text is never cut into lines. *)
+    How {!of_lines}, {!of_block} and a snapshot read a payload: the
+    header line starts a {!section}, then each line is fed to
+    {!section_line} as a span of a string, so a large text is never cut
+    into lines. *)
 
 type section
-(** A payload being read: its header and the weights so far. *)
+(** A payload being read: its header and the key and weight columns so
+    far. *)
 
 type step =
   | More  (** a weight line: the payload goes on *)
   | Done of Store.summary  (** the [end] line: the payload read *)
   | Bad of string  (** the error {!of_lines} reports for this line *)
 
-val section : string -> (section, string) result
-(** Start reading a payload at its [summary] header line. *)
+val section : ?capacity:int -> string -> (section, string) result
+(** Start reading a payload at its [summary] header line. The columns
+    start at [capacity] entries (default 16), or the header's records if
+    fewer, and double as needed. *)
 
 val section_line : section -> string -> int -> int -> step
 (** [section_line sec s pos stop]: read the payload line
@@ -108,18 +138,19 @@ val materialize :
 
     A store kept across queries, such as the router's, follows the
     partitions one PULL round at a time. Each function takes the
-    round's payloads for one instance, one per partition, and merges
-    them as {!merge_all} does. *)
+    round's payloads for one instance, one per partition. *)
 
 val install : Store.t -> Store.summary list -> (unit, string) result
-(** Install the merge of the partitions' full payloads as a new
+(** Install the {!merge_all} of the partitions' full payloads as a new
     instance: what {!materialize} does for each summary. *)
 
-val apply_deltas : Store.t -> Store.summary list -> (unit, string) result
+val apply_deltas :
+  ?owner:(int -> int) -> Store.t -> Store.summary list -> (unit, string) result
 (** Advance an instance the store holds by the partitions' delta
-    payloads ([PULL … since=]): each carries its partition's current
-    totals and the keys it changed, and their merge goes through
-    {!Store.apply_delta}. Exact when the partitions are key-disjoint,
-    as the {!Router}'s placement makes them: the merged weight of a key
-    is then its owner's weight. [Error], with nothing changed, when the
-    payloads do not merge or the store refuses the delta. *)
+    payloads ([PULL … since=]), through {!Store.apply_delta}: each part
+    carries its partition's current totals and the keys it changed, and
+    its columns are applied as they are, with no merge. The [i]-th part
+    may list only keys with [owner key = i] (default: one partition), as
+    the {!Router}'s placement makes them; a key's merged weight is then
+    its owner's weight. [Error], with nothing changed, when a part does
+    not fit or the store refuses the delta. *)

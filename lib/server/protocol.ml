@@ -550,9 +550,14 @@ let greeting =
    field announces how many raw payload lines follow — the response
    direction's mirror of INGESTN's request framing. Payload lines are
    raw text (the snapshot / summary formats), never JSON. *)
-let ok_lines fields lines =
-  String.concat "\n"
-    (ok_fields (fields @ [ ("lines", jint (List.length lines)) ]) :: lines)
+let ok_block fields ~lines buf =
+  let header = ok_fields (fields @ [ ("lines", jint lines) ]) in
+  let hl = String.length header and bl = max 0 (Buffer.length buf - 1) in
+  let out = Bytes.create (hl + 1 + bl) in
+  Bytes.blit_string header 0 out 0 hl;
+  Bytes.set out hl '\n';
+  Buffer.blit buf 0 out (hl + 1) bl;
+  Bytes.unsafe_to_string out
 
 (* --- response inspection --- *)
 
@@ -607,13 +612,34 @@ let json_ok line = json_field "ok" line = Some "true"
 module Conn = struct
   module F = Numerics.Faultify
 
-  type t = { ic : in_channel; oc : out_channel }
+  (* Reads go through the connection's own buffer ([buf.[pos .. len-1]]
+     unread), so a multi-line payload can be cut out of it as one block;
+     writes go through a channel. *)
+  type t = {
+    fd : Unix.file_descr;
+    oc : out_channel;
+    mutable buf : Bytes.t;
+    mutable pos : int;
+    mutable len : int;
+    mutable closed : bool;
+  }
 
-  let of_fd fd = { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+  let of_fd fd =
+    {
+      fd;
+      oc = Unix.out_channel_of_descr fd;
+      buf = Bytes.create 65536;
+      pos = 0;
+      len = 0;
+      closed = false;
+    }
 
   let close t =
-    (* One close for both channels: they share the fd. *)
-    try close_out t.oc with Sys_error _ -> ()
+    if not t.closed then begin
+      t.closed <- true;
+      (* One close for both directions: the channel owns the fd. *)
+      try close_out t.oc with Sys_error _ -> ()
+    end
 
   (* select-based sleep: the blocking sleep syscalls are banned under
      lib/server (they park a whole domain); a select with no fds is the
@@ -630,18 +656,90 @@ module Conn = struct
         false
     | _ -> false
 
+  (* Read more bytes after the unread ones, moving them to the front and
+     doubling the buffer when it is full; [false] at EOF, on an error or
+     a read timeout. *)
+  let fill t =
+    if t.closed then false
+    else begin
+      if t.pos > 0 then begin
+        Bytes.blit t.buf t.pos t.buf 0 (t.len - t.pos);
+        t.len <- t.len - t.pos;
+        t.pos <- 0
+      end;
+      if t.len = Bytes.length t.buf then begin
+        let nbuf = Bytes.create (2 * Bytes.length t.buf) in
+        Bytes.blit t.buf 0 nbuf 0 t.len;
+        t.buf <- nbuf
+      end;
+      let rec go () =
+        match Unix.read t.fd t.buf t.len (Bytes.length t.buf - t.len) with
+        | 0 -> false
+        | n ->
+            t.len <- t.len + n;
+            true
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | exception Unix.Unix_error _ -> false
+      in
+      go ()
+    end
+
+  (* The offset from [pos] of the next newline at or after offset [from],
+     or -1. *)
+  let newline t from =
+    let rec go i =
+      if i >= t.len then -1
+      else if Bytes.unsafe_get t.buf i = '\n' then i - t.pos
+      else go (i + 1)
+    in
+    go (t.pos + from)
+
   let strip_cr line =
     let n = String.length line in
     if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
+  (* Cut the first [n] unread bytes out as a string. *)
+  let take t n =
+    let s = Bytes.sub_string t.buf t.pos n in
+    t.pos <- t.pos + n;
+    s
+
   let input_line_opt t =
     if read_fault t then None
     else
-      match input_line t.ic with
-      | line -> Some (strip_cr line)
-      | exception End_of_file -> None
-      | exception Sys_error _ -> None
-      | exception Sys_blocked_io -> None
+      let rec go from =
+        match newline t from with
+        | -1 ->
+            let from = t.len - t.pos in
+            if fill t then go from
+            else if t.len > t.pos then Some (strip_cr (take t (t.len - t.pos)))
+            else None
+        | i ->
+            let line = take t i in
+            t.pos <- t.pos + 1;
+            Some (strip_cr line)
+      in
+      go 0
+
+  let input_block t n =
+    if n < 0 then Error 0
+    else if n = 0 then Ok ""
+    else if read_fault t then Error 0
+    else
+      (* [cut]: the unread bytes holding the [found] whole lines seen. *)
+      let rec go found cut =
+        if found = n then Ok (take t cut)
+        else
+          match newline t cut with
+          | -1 ->
+              if fill t then go found cut
+              else if t.len - t.pos > cut then
+                if found + 1 = n then Ok (take t (t.len - t.pos))
+                else Error (found + 1)
+              else Error found
+          | i -> go (found + 1) (i + 1)
+      in
+      go 0 0
 
   let output_line t line =
     match F.fire_io ~site:"conn.write" ~kinds:[ F.Io_drop ] with

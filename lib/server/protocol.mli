@@ -33,7 +33,7 @@
     - [STATS] — per-instance and per-shard counters.
     - [FLUSH] — drain all shard mailboxes now.
     - [PULL <name> [since=<epoch>:<records>]] — export one instance's
-      mergeable summary ({!Merge.payload} lines) for cluster-mode query
+      mergeable summary ({!Merge.add_payload} lines) for cluster-mode query
       merging. The response is {e multi-line}: a JSON header whose
       [lines] field announces how many raw payload lines follow (the
       response direction's mirror of INGESTN's request framing). The
@@ -165,11 +165,13 @@ val ok_fields : (string * string) list -> string
 (** [ok_fields fields] is [{"ok":true,<fields>}]; field values must
     already be valid JSON fragments (use {!jstr}/{!jfloat}/{!jint}). *)
 
-val ok_lines : (string * string) list -> string list -> string
+val ok_block : (string * string) list -> lines:int -> Buffer.t -> string
 (** Multi-line response: [ok_fields] header extended with a ["lines"]
-    count, followed by the raw payload lines, newline-joined (the
-    transport appends the final newline). Clients read the header, then
-    exactly [lines] more lines — see {!Client.request_lines}. *)
+    count, then the buffer's raw payload — [lines] newline-terminated
+    lines, the last newline dropped (the transport appends it). The
+    response is assembled in one copy of the buffer. Clients read the
+    header, then exactly [lines] more lines — see
+    {!Client.pipeline_recv}. *)
 
 val error : ?kind:string -> ?retry_after_ms:int -> string -> string
 (** [{"ok":false,"error":<msg>}], optionally extended with a
@@ -212,10 +214,23 @@ module Conn : sig
 
   val input_line_opt : t -> string option
   (** Next line ([None] at EOF, or on a read timeout — the caller cannot
-      use a half-received line either way). Strips a trailing CR. *)
+      use a half-received line either way). Strips a trailing CR. A
+      last line the peer ends with EOF instead of a newline is still a
+      line. *)
+
+  val input_block : t -> int -> (string, int) result
+  (** [input_block t n]: the next [n] lines as one string, cut once out
+      of the connection's own read buffer — each line with its newline
+      and its CR, if any, so a reader takes spans of it (a last line
+      ended by EOF counts, as in {!input_line_opt}). [Error read] when
+      the connection ends after [read] whole lines, or [n < 0]. *)
 
   val output_line : t -> string -> unit
   (** Write the line plus ['\n'] and flush. *)
+
+  val strip_cr : string -> string
+  (** The line without one trailing CR: how {!input_line_opt} ends a
+      line, for a reader splitting an {!input_block} block. *)
 
   val close : t -> unit
 

@@ -10,10 +10,14 @@
    Each read first refreshes the resident store with one round of
    PULLs, written to every daemon before any reply is read. A daemon
    the router has followed before is asked only for the keys changed
-   since the cursor of its last reply (PULL … since=<epoch>:<records>),
-   and the delta is applied key by key. Partitions are key-disjoint, so
-   a key's merged weight is its owner's weight; weights only grow, so
-   the samples follow exactly. Anything else — a daemon restarted or
+   since the cursor of its last reply (PULL … since=<epoch>:<records>).
+   Each reply's payload arrives as one block of the client's read
+   buffer and is scanned in place into key and weight columns; each
+   backend's delta columns are then applied as they are, one Merge call
+   per instance, with no merge of the parts. Partitions are
+   key-disjoint, so a key's merged weight is its owner's weight (the
+   one check pass before the apply verifies every key's owner); weights
+   only grow, so the samples follow exactly. Anything else — a daemon restarted or
    restored (a new epoch), a key sent by a daemon that does not own it,
    a delta the store refuses — rebuilds the resident store from full
    PULLs, which is the from-scratch merge.
@@ -49,8 +53,7 @@ type t = {
 let placement_salt = 0x6f707473616d70L
 
 let owner ~backends key =
-  let h = Numerics.Hashing.hash_int ~salt:placement_salt key in
-  Int64.to_int (Int64.rem (Int64.shift_right_logical h 1) (Int64.of_int backends))
+  Numerics.Hashing.bucket_int ~salt:placement_salt key backends
 
 let backend_count t = Array.length t.backends
 let resident t = t.resident
@@ -167,12 +170,12 @@ let pull_line name = function
   | None -> "PULL " ^ name
   | Some c -> Printf.sprintf "PULL %s since=%d:%d" name c.c_epoch c.c_records
 
-(* One backend's reply to one PULL: its summary (full, or the keys
-   changed since the cursor sent), the cursor it leaves, and whether it
-   is the delta asked for. *)
+(* One backend's reply to one PULL, scanned: its summary (full, or the
+   keys changed since the cursor sent) as columns, the cursor it leaves,
+   and whether it is the delta asked for. *)
 type reply = { summary : Store.summary; cursor : cursor option; delta : bool }
 
-let parse_reply t i ~asked (header, lines) =
+let parse_reply t i ~asked (header, block) =
   if not (P.json_ok header) then
     Error
       (Printf.sprintf "backend %d: %s" i
@@ -186,12 +189,12 @@ let parse_reply t i ~asked (header, lines) =
       | _ ->
           Error (Printf.sprintf "backend %d: PULL header without master/mode" i)
     in
+    let field f = Option.bind (P.json_field f header) int_of_string_opt in
     let* summary =
       Result.map_error
         (fun m -> Printf.sprintf "backend %d: bad summary payload: %s" i m)
-        (Merge.of_lines lines)
+        (Merge.of_block ?lines:(field "lines") block)
     in
-    let field f = Option.bind (P.json_field f header) int_of_string_opt in
     let epoch = field "epoch" in
     Ok
       {
@@ -209,38 +212,61 @@ let parse_reply t i ~asked (header, lines) =
 (* One round of PULLs: every backend gets all of the round's requests
    before any reply is read, so the daemons export and encode at the
    same time. [asked name i] is the cursor to send backend [i] for
-   [name]. Every reply is read whatever fails; the first error in
-   (name, backend) order is the round's. *)
-let pull_round t names asked =
+   [name]. The replies are read name by name, each payload as one block
+   of the client's read buffer, and each name's replies go to [each]
+   before the next name's are read: the router scans and applies one
+   instance while the daemons still export the next. [each] answers
+   [Ok true] to go on; the round's result is the first [Ok false] or
+   [Error] (a transport failure first, the first backend's first), and
+   every reply is read whatever fails. *)
+let pull_round t names asked each =
   let n = backend_count t in
   let sent =
+    Numerics.Obs.span ~cat:"router" "router.pull" @@ fun () ->
     Array.init n (fun i ->
         Client.pipeline_send t.backends.(i)
           (List.map (fun name -> pull_line name (asked name i)) names))
   in
-  let received =
-    Array.map (fun p -> Result.map Array.of_list (Client.pipeline_recv p)) sent
-  in
-  let replies j name =
-    let rec go i acc =
-      if i = n then Ok (Array.of_list (List.rev acc))
-      else
-        let* r =
-          match received.(i) with
-          | Error m -> Error (Printf.sprintf "backend %d: %s" i m)
-          | Ok rs -> parse_reply t i ~asked:(asked name i) rs.(j)
-        in
-        go (i + 1) (r :: acc)
-    in
-    Result.map (fun rs -> (name, rs)) (go 0 [])
-  in
-  let rec each j acc = function
-    | [] -> Ok (List.rev acc)
+  let rec go result = function
+    | [] -> result
     | name :: rest ->
-        let* r = replies j name in
-        each (j + 1) (r :: acc) rest
+        let received =
+          Numerics.Obs.span ~cat:"router" "router.pull" @@ fun () ->
+          Array.map Client.pipeline_next sent
+        in
+        let result =
+          match result with
+          | Ok true -> (
+              let failed = ref None in
+              Array.iteri
+                (fun i r ->
+                  match (r, !failed) with
+                  | Error m, None ->
+                      failed := Some (Printf.sprintf "backend %d: %s" i m)
+                  | _ -> ())
+                received;
+              match !failed with
+              | Some m -> Error m
+              | None -> each name (Array.map Result.get_ok received))
+          | stopped -> stopped
+        in
+        go result rest
   in
-  each 0 [] names
+  go (Ok true) names
+
+(* Scan one instance's replies in backend order; the first bad one is
+   the error. *)
+let parse_replies t name raws =
+  let asked i =
+    Option.map (fun cs -> cs.(i)) (Hashtbl.find_opt t.cursors name)
+  in
+  let rec go i acc =
+    if i = Array.length raws then Ok (Array.of_list (List.rev acc))
+    else
+      let* r = parse_reply t i ~asked:(asked i) raws.(i) in
+      go (i + 1) (r :: acc)
+  in
+  go 0 []
 
 let summaries replies = Array.to_list (Array.map (fun r -> r.summary) replies)
 
@@ -250,9 +276,7 @@ let summaries replies = Array.to_list (Array.map (fun r -> r.summary) replies)
 let all_owned t replies =
   let n = backend_count t in
   let owned i r =
-    List.for_all
-      (fun (key, _) -> owner ~backends:n key = i)
-      r.summary.Store.s_weights
+    Array.for_all (fun key -> owner ~backends:n key = i) r.summary.Store.s_keys
   in
   Array.for_all Fun.id (Array.mapi owned replies)
 
@@ -262,40 +286,57 @@ let follow t name replies ~owned =
     Hashtbl.replace t.cursors name (Array.map Option.get cursors)
   else Hashtbl.remove t.cursors name
 
-(* Apply one instance's replies to the resident store; [false] when
-   they cannot be applied as they are and the store must be rebuilt. *)
-let advance t (name, replies) =
-  let owned = all_owned t replies in
-  let applied =
+(* Scan one instance's replies and apply them to the resident store:
+   [Ok false] when they cannot be applied as they are and the store must
+   be rebuilt. Deltas go through one Merge entry point, each backend's
+   columns applied as they are after one check of every key (its owner,
+   order and weight) and of the totals; a refusal changes nothing. *)
+let apply t name raws =
+  Numerics.Obs.span ~cat:"router" "router.apply" @@ fun () ->
+  let* replies = parse_replies t name raws in
+  let applied, owned =
     match Store.find t.resident name with
     | None when Array.for_all (fun r -> not r.delta) replies ->
-        Result.is_ok (Merge.install t.resident (summaries replies))
-    | Some _ when owned && Array.for_all (fun r -> r.delta) replies ->
-        Result.is_ok (Merge.apply_deltas t.resident (summaries replies))
-    | _ -> false
+        ( Result.is_ok (Merge.install t.resident (summaries replies)),
+          all_owned t replies )
+    | Some _ when Array.for_all (fun r -> r.delta) replies ->
+        ( Result.is_ok
+            (Merge.apply_deltas
+               ~owner:(owner ~backends:(backend_count t))
+               t.resident (summaries replies)),
+          true )
+    | _ -> (false, false)
   in
   if applied then follow t name replies ~owned;
-  applied
+  Ok applied
+
+let cursor t name i =
+  Option.map
+    (fun cs -> (cs.(i).c_epoch, cs.(i).c_records))
+    (Hashtbl.find_opt t.cursors name)
 
 (* From scratch: full PULLs of [names] into a fresh resident store,
    which drops every other instance (a later read installs it again).
    On failure the old store stays, still consistent with its cursors. *)
 let rebuild t names =
-  let* rounds = pull_round t names (fun _ _ -> None) in
   let st = Store.create ~pool:t.pool t.cfg in
-  let rec install = function
-    | [] -> Ok ()
-    | (_, replies) :: rest ->
+  let installed = ref [] in
+  let* _ =
+    pull_round t names
+      (fun _ _ -> None)
+      (fun name raws ->
+        Numerics.Obs.span ~cat:"router" "router.apply" @@ fun () ->
+        let* replies = parse_replies t name raws in
         let* () = Merge.install st (summaries replies) in
-        install rest
+        installed := (name, replies) :: !installed;
+        Ok true)
   in
-  let* () = install rounds in
   t.resident <- st;
   Hashtbl.reset t.cursors;
   List.iter
     (fun (name, replies) ->
       follow t name replies ~owned:(all_owned t replies))
-    rounds;
+    !installed;
   Ok ()
 
 (* Bring the resident store's [names] up to date with the backends. A
@@ -311,10 +352,8 @@ let refresh t names =
   let asked name i =
     Option.map (fun cs -> cs.(i)) (Hashtbl.find_opt t.cursors name)
   in
-  let* rounds = pull_round t names asked in
-  let* () =
-    if List.for_all (advance t) rounds then Ok () else rebuild t names
-  in
+  let* applied = pull_round t names asked (apply t) in
+  let* () = if applied then Ok () else rebuild t names in
   t.names <- t.names @ List.filter (fun n -> not (List.mem n t.names)) names;
   Ok ()
 

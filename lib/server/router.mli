@@ -30,10 +30,13 @@
     keeps a cursor — the daemon store's epoch and the instance's records
     count in the last reply it applied — and asks with
     [PULL <name> since=<epoch>:<records>] for the keys changed since.
-    Each delta goes into the resident store through
-    {!Merge.apply_deltas}: the key's weight is replaced and its samples
-    re-run, which is exact because partitions are key-disjoint (a key's
-    merged weight is its owner's) and weights only grow. A query
+    Each reply's payload is read as one block and scanned in place into
+    key and weight columns ({!Merge.of_block}); each backend's delta
+    columns then go into the resident store through
+    {!Merge.apply_deltas}, with no merge: the key's weight is replaced
+    and its samples re-run, which is exact because partitions are
+    key-disjoint (a key's merged weight is its owner's, checked key by
+    key) and weights only grow. A query
     therefore costs what changed since the last read, not the instance
     size. A reply in a new epoch (a restarted or restored daemon), a key
     sent by a daemon that does not own it, or a delta the store refuses
@@ -82,6 +85,25 @@ val backend_count : t -> int
 val resident : t -> Store.t
 (** The resident store as the last read left it: each instance in it is
     the merge of the daemons' summaries at that read. For tests. *)
+
+val apply : t -> string -> (string * string) array -> (bool, string) result
+(** [apply t name replies]: what a read does with one instance's PULL
+    round once it is received — one [(header, payload block)] per
+    backend, as {!Client.pipeline_recv} returns them, asked with the
+    instance's current cursors. Every reply is scanned into columns
+    ({!Merge.of_block}); then a new instance is installed from full
+    replies, or a resident one advanced by delta replies through
+    {!Merge.apply_deltas}, each backend's columns applied as they are
+    after one check of every key's owner, order and weight and of the
+    totals. [Error] for a failed or unreadable reply (the read answers
+    it); [Ok false] when the replies cannot be applied as they are (the
+    read rebuilds); a refusal leaves the resident store and its cursors
+    unchanged. *)
+
+val cursor : t -> string -> int -> (int * int) option
+(** [cursor t name i]: the [(epoch, records)] of backend [i]'s last
+    reply applied for [name], which the next read asks since; [None]
+    while the instance is not followed by deltas. *)
 
 val handlers : t -> Daemon.handlers
 (** The fan-out request handlers, pluggable into {!Daemon}'s event

@@ -4,39 +4,39 @@ type parse_error = Sampling.Io.parse_error = { line : int; message : string }
 
 let err line message = Error { line; message }
 
-(* The restore rule, applied when the text is written: [records] is the
-   key count and [volume] the weights summed in ascending key order. A
-   loader installs each section exactly as parsed, so the rule is what a
-   restart restores and a round trip is byte-identical. *)
-let restore_rule (s : Store.summary) =
-  {
-    s with
-    Store.s_records = List.length s.Store.s_weights;
-    s_volume = List.fold_left (fun v (_, w) -> v +. w) 0. s.Store.s_weights;
-  }
-
 let header (cfg : Store.config) count =
   Printf.sprintf "%s %d %s %h %d %h %d %d" magic cfg.Store.master
     (Store.mode_name cfg.Store.mode)
     cfg.Store.default_tau cfg.Store.default_k cfg.Store.default_p
     cfg.Store.flush_every count
 
-(* Every instance section is the PULL payload of its summary. *)
-let lines cfg summaries =
-  header cfg (List.length summaries)
-  :: List.concat_map (fun s -> Merge.payload (restore_rule s)) summaries
-
-(* The same lines as [lines], written straight into the text so a large
-   store's text never also exists as a list of lines. *)
-let to_string st =
-  Store.flush st;
+(* Every instance section is the PULL payload of its summary, written
+   straight from the export's columns under the restore rule: [records]
+   is the key count and [volume] the weights summed in ascending key
+   order. A loader installs each section exactly as parsed, so the rule
+   is what a restart restores and a round trip is byte-identical. *)
+let add_text buf st =
   let insts = Store.instances st in
-  let buf = Buffer.create 4096 in
   Buffer.add_string buf (header (Store.config st) (List.length insts));
   Buffer.add_char buf '\n';
-  List.iter
-    (fun i -> Merge.add_payload buf (restore_rule (Store.export_summary i)))
-    insts;
+  let scratch = Store.scratch () in
+  List.fold_left
+    (fun lines i ->
+      Store.export_into ~scratch i (fun s keys ws n ->
+          let volume = ref 0. in
+          for j = 0 to n - 1 do
+            volume := !volume +. Float.Array.get ws j
+          done;
+          lines
+          + Merge.add_columns buf
+              { s with Store.s_records = n; s_volume = !volume }
+              keys ws n))
+    1 insts
+
+let to_string st =
+  Store.flush st;
+  let buf = Buffer.create 4096 in
+  ignore (add_text buf st);
   Buffer.contents buf
 
 (* The text is walked in place, one line at a time, with the line
@@ -125,7 +125,10 @@ let parse_header n header =
 (* One section per instance, in id order, each read line by line and
    then installed; an error names the line its section starts on. *)
 let read_section c =
-  match Merge.section (current c) with
+  (* A key line takes at least 6 bytes, which bounds the columns a
+     corrupt records count can ask for. *)
+  let capacity = (String.length c.s - c.next) / 6 in
+  match Merge.section ~capacity (current c) with
   | Error _ as e -> e
   | Ok sec ->
       let rec body () =

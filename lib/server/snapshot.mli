@@ -3,7 +3,7 @@
     Format (line-oriented, [#]-comments and blank lines ignored, floats
     as lossless hex literals — the {!Sampling.Io} house style): one
     header line, then one section per instance in id order, each section
-    the {!Merge.payload} of the instance's summary:
+    the payload ({!Merge.add_payload}) of the instance's summary:
 
     {v
     optsample-snapshot 2 <master> <mode> <tau-hex> <k> <p-hex> <flush_every> <n>
@@ -33,14 +33,16 @@ val magic : string
 (** ["optsample-snapshot 2"]. Version 1 text (the [instance] sections
     of earlier builds) is refused with a structured error. *)
 
-val lines : Store.config -> Store.summary list -> string list
-(** The snapshot text of these summaries, one line per element and no
-    newlines: what SYNC ships, for a daemon's own store and for a
+val add_text : Buffer.t -> Store.t -> int
+(** Append the snapshot text of the store's instances (flush it first),
+    each line newline-terminated and each section exported and written
+    from its summary's columns one instance at a time; returns the
+    number of lines. What SYNC ships, for a daemon's own store and for a
     router's resident merged store alike. *)
 
 val to_string : Store.t -> string
-(** Serialize (flushes the store first): {!lines} of the store's
-    instances, each line newline-terminated. *)
+(** Serialize (flushes the store first): {!add_text} of the store's
+    instances. *)
 
 val of_string_r :
   ?pool:Numerics.Pool.t ->

@@ -40,6 +40,10 @@ type instance_config = { tau : float; k : int; p : float }
    record is stored flat. *)
 type cell = { mutable w : float; mutable stamp : float; mutable slot : float }
 
+(* The cell [apply_delta]'s check records for a key the instance does
+   not hold yet. *)
+let absent = { w = nan; stamp = nan; slot = -1. }
+
 (* A resident sample column: [keys.(0 .. sorted-1)] ascending, then the
    keys that entered since the last [seal] (the tail), in arrival
    order, each with its cell. A valued column (the PPS sample) also
@@ -94,6 +98,10 @@ type t = {
   mutable rev_instances : instance list;
   mutable n_instances : int;
   mutable pending_since_flush : int;  (* producer-side; see ingest *)
+  mutable held : cell array;
+      (* scratch of [apply_delta]: the cell its check found for each
+         listed key ([absent] for a new key), so the apply does not look
+         the key up again; grown to the largest delta, then reused *)
 }
 
 (* Epochs: a random base drawn once per process plus a process-wide
@@ -124,6 +132,7 @@ let create ?pool cfg =
     rev_instances = [];
     n_instances = 0;
     pending_since_flush = 0;
+    held = [||];
   }
 
 let config t = t.cfg
@@ -259,8 +268,10 @@ let sample_key inst ~first key c =
   (* Binary support sample: decided once, on the key's first record. *)
   if first && u <= inst.icfg.p then append inst.binary key c
 
-(* Key [key] now has weight [v], stamped [stamp]. *)
-let set_weight inst ~stamp key v =
+(* Key [key] now has weight [ws.(j)], stamped [stamp]: the weight is
+   read from its column here, so no float is boxed per key. *)
+let set_weight inst ~stamp key ws j =
+  let v = Float.Array.get ws j in
   match Hashtbl.find inst.weights key with
   | c ->
       c.w <- v;
@@ -445,16 +456,6 @@ let records inst = inst.i_records
 let volume inst = inst.totals.volume
 let cardinality inst = Hashtbl.length inst.weights
 
-(* Every export below is sorted by [by_key]: hashtable iteration order
-   depends on insertion history, so anything emitted to a snapshot or a
-   merge payload is sorted first — byte-stable regardless of ingestion
-   order (regression-tested by diffing snapshots of permuted streams). *)
-let by_key entries =
-  List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) entries
-
-let sorted_weights inst =
-  by_key (Hashtbl.fold (fun k c acc -> (k, c.w) :: acc) inst.weights [])
-
 (* The sealed prefix: after a flush, the whole column. *)
 let view col =
   { Aggregates.Column.keys = col.keys; vals = col.vals; len = col.sorted }
@@ -474,28 +475,160 @@ type summary = {
   s_cfg : instance_config;
   s_records : int;
   s_volume : float;
-  s_weights : (int * float) list;
+  s_keys : int array;
+  s_weights : floatarray;
 }
 
-let export_summary ?since inst =
-  let s_weights =
-    match since with
-    | None -> sorted_weights inst
-    | Some records ->
-        let after = Float.of_int records in
-        by_key
-          (Hashtbl.fold
-             (fun k c acc -> if c.stamp > after then (k, c.w) :: acc else acc)
-             inst.weights [])
-  in
+(* Sort [keys.(0 .. n-1)] ascending, each weight moving with its key: an
+   LSD radix sort on the two unboxed columns, so an export sorts ints in
+   place of a list of boxed pairs, in a few linear passes. Keys are
+   taken as offsets from the least key, unsigned (the offset of any two
+   ints fits 63 bits), 11 bits a pass, as many passes as the largest
+   offset needs; short runs take an insertion sort. The keys are
+   distinct, as hashtable keys are. *)
+let radix_bits = 11
+
+let insertion_sort keys ws n =
+  for i = 1 to n - 1 do
+    let k = keys.(i) and w = Float.Array.get ws i in
+    let j = ref (i - 1) in
+    while !j >= 0 && keys.(!j) > k do
+      keys.(!j + 1) <- keys.(!j);
+      Float.Array.set ws (!j + 1) (Float.Array.get ws !j);
+      decr j
+    done;
+    keys.(!j + 1) <- k;
+    Float.Array.set ws (!j + 1) w
+  done
+
+let sort_pairs keys ws ~tkeys ~tws n =
+  if n <= 32 then insertion_sort keys ws n
+  else begin
+    let least = ref keys.(0) in
+    for i = 1 to n - 1 do
+      if keys.(i) < !least then least := keys.(i)
+    done;
+    let least = !least in
+    let span = ref 0 in
+    for i = 0 to n - 1 do
+      span := !span lor (keys.(i) - least)
+    done;
+    let radix = 1 lsl radix_bits in
+    let mask = radix - 1 in
+    let count = Array.make radix 0 in
+    (* Each pass moves the pairs from [src] to [dst] by one digit. *)
+    let pass src sws dst dws shift =
+      Array.fill count 0 radix 0;
+      for i = 0 to n - 1 do
+        let d = ((src.(i) - least) lsr shift) land mask in
+        count.(d) <- count.(d) + 1
+      done;
+      let sum = ref 0 in
+      for d = 0 to mask do
+        let c = count.(d) in
+        count.(d) <- !sum;
+        sum := !sum + c
+      done;
+      for i = 0 to n - 1 do
+        let k = src.(i) in
+        let d = ((k - least) lsr shift) land mask in
+        let o = count.(d) in
+        count.(d) <- o + 1;
+        dst.(o) <- k;
+        Float.Array.set dws o (Float.Array.get sws i)
+      done
+    in
+    let rec passes shift in_place =
+      if shift > 0 && !span lsr shift = 0 then in_place
+      else begin
+        if in_place then pass keys ws tkeys tws shift
+        else pass tkeys tws keys ws shift;
+        passes (shift + radix_bits) (not in_place)
+      end
+    in
+    if not (passes 0 true) then begin
+      Array.blit tkeys 0 keys 0 n;
+      Float.Array.blit tws 0 ws 0 n
+    end
+  end
+
+(* The columns an export gathers into and the radix sort's second
+   pair. A writer of several payloads passes one scratch to every
+   export, so writing a whole store leaves no columns per instance for
+   the GC to reclaim; without one, an export makes its own. *)
+type scratch = {
+  mutable gkeys : int array;  (* the gathered columns *)
+  mutable gws : floatarray;
+  mutable tkeys : int array;  (* the sort's second pair *)
+  mutable tws : floatarray;
+}
+
+let scratch () =
   {
-    s_name = inst.i_name;
-    s_id = inst.id;
-    s_cfg = inst.icfg;
-    s_records = inst.i_records;
-    s_volume = inst.totals.volume;
-    s_weights;
+    gkeys = [||];
+    gws = Float.Array.create 0;
+    tkeys = [||];
+    tws = Float.Array.create 0;
   }
+
+(* The keys stamped above [since] (every key without it), gathered into
+   the scratch columns and sorted by key: hashtable iteration order
+   depends on insertion history, so anything emitted to a snapshot or a
+   merge payload is sorted first — byte-stable regardless of ingestion
+   order (regression-tested by diffing snapshots of permuted streams).
+   A key needs a record, so a delta holds at most the records since its
+   cursor: the gathered columns start at that size and double if a
+   restore's stamps make it short. *)
+let export_into ?(scratch = scratch ()) ?since inst f =
+  let sc = scratch in
+  let total = Hashtbl.length inst.weights in
+  let after, hint =
+    match since with
+    | None -> (neg_infinity, total)
+    | Some r -> (Float.of_int r, min total (max 16 (inst.i_records - r)))
+  in
+  if Array.length sc.gkeys < hint then begin
+    sc.gkeys <- Array.make hint 0;
+    sc.gws <- Float.Array.create hint
+  end;
+  let n = ref 0 in
+  Hashtbl.iter
+    (fun k c ->
+      if c.stamp > after then begin
+        if !n = Array.length sc.gkeys then begin
+          let cap = min total (2 * !n) in
+          let keys = Array.make cap 0 and ws = Float.Array.create cap in
+          Array.blit sc.gkeys 0 keys 0 !n;
+          Float.Array.blit sc.gws 0 ws 0 !n;
+          sc.gkeys <- keys;
+          sc.gws <- ws
+        end;
+        sc.gkeys.(!n) <- k;
+        Float.Array.set sc.gws !n c.w;
+        incr n
+      end)
+    inst.weights;
+  let n = !n in
+  if n > 32 && Array.length sc.tkeys < n then begin
+    sc.tkeys <- Array.make (Array.length sc.gkeys) 0;
+    sc.tws <- Float.Array.create (Array.length sc.gkeys)
+  end;
+  sort_pairs sc.gkeys sc.gws ~tkeys:sc.tkeys ~tws:sc.tws n;
+  f
+    {
+      s_name = inst.i_name;
+      s_id = inst.id;
+      s_cfg = inst.icfg;
+      s_records = inst.i_records;
+      s_volume = inst.totals.volume;
+      s_keys = [||];
+      s_weights = Float.Array.create 0;
+    }
+    sc.gkeys sc.gws n
+
+let export_summary ?since inst =
+  export_into ?since inst (fun s keys ws n ->
+      { s with s_keys = Array.sub keys 0 n; s_weights = Float.Array.sub ws 0 n })
 
 (* The summary is installed under its *recorded* id: seed derivation
    and the shard assignment key off [s_id], so a store materialized from
@@ -509,6 +642,7 @@ let install_summary t s =
   | Error _ as e -> e
   | Ok () when s.s_id < 0 -> Error (Printf.sprintf "invalid instance id %d" s.s_id)
   | Ok () ->
+      let n = Array.length s.s_keys in
       let inst =
         {
           id = s.s_id;
@@ -516,7 +650,7 @@ let install_summary t s =
           icfg = s.s_cfg;
           salt = Seeds.salt t.t_seeds ~instance:s.s_id;
           u = Float.Array.make 1 0.;
-          weights = Hashtbl.create (max 1024 (List.length s.s_weights));
+          weights = Hashtbl.create (max 1024 n);
           i_records = s.s_records;
           totals = { volume = s.s_volume };
           pps = column ~valued:true;
@@ -524,9 +658,9 @@ let install_summary t s =
         }
       in
       let stamp = Float.of_int s.s_records in
-      List.iter
-        (fun (key, v) -> set_weight inst ~stamp key v)
-        s.s_weights;
+      for i = 0 to n - 1 do
+        set_weight inst ~stamp s.s_keys.(i) s.s_weights i
+      done;
       seal_instance inst;
       Hashtbl.add t.by_name s.s_name inst;
       let rec insert = function
@@ -537,51 +671,122 @@ let install_summary t s =
       t.n_instances <- max t.n_instances (s.s_id + 1);
       Ok inst
 
+(* The first key of a delta part that cannot be applied, as an error:
+   out of order, owned by another part, not > 0, or below the weight the
+   instance holds. The cell each key has (or [absent]) is kept in
+   [t.held] from [base] on. Allocates nothing while every key passes. *)
+let check_part t inst ~owner ~base i s =
+  let keys = s.s_keys and ws = s.s_weights in
+  let n = Array.length keys in
+  (* The weight is read again for a message, so the checks never box
+     it. *)
+  let rec go j =
+    if j = n then Ok ()
+    else
+      let key = keys.(j) in
+      if j > 0 && key <= keys.(j - 1) then
+        Error (Printf.sprintf "weight keys out of order at %d" key)
+      else if owner key <> i then
+        Error (Printf.sprintf "key %d is not owned by partition %d" key i)
+      else if not (Float.Array.get ws j > 0.) then
+        Error
+          (Printf.sprintf "the weight %h of key %d is not > 0"
+             (Float.Array.get ws j) key)
+      else
+        match Hashtbl.find inst.weights key with
+        | c when Float.Array.get ws j < c.w ->
+            Error
+              (Printf.sprintf "instance %S: the weight of key %d falls to %h"
+                 inst.i_name key (Float.Array.get ws j))
+        | c ->
+            t.held.(base + j) <- c;
+            go (j + 1)
+        | exception Not_found ->
+            t.held.(base + j) <- absent;
+            go (j + 1)
+  in
+  if Array.length keys <> Float.Array.length ws then
+    Error "a delta's key and weight columns differ in length"
+  else go 0
+
 (* A delta advances an instance whose weights only grew: each listed
    key's weight is replaced and its samples re-run through [sample_key]
    (PPS inclusion is monotone in the weight and binary membership was
    decided when the key first appeared), so the result equals
-   installing the full summary. Everything is checked before anything changes. *)
-let apply_delta t s =
-  match Hashtbl.find_opt t.by_name s.s_name with
-  | None -> Error (Printf.sprintf "unknown instance %S" s.s_name)
-  | Some inst -> (
-      let falls (key, v) =
-        match Hashtbl.find inst.weights key with
-        | c -> v < c.w
-        | exception Not_found -> false
-      in
-      if inst.id <> s.s_id then
-        Error
-          (Printf.sprintf "instance %S has id %d, the delta %d" s.s_name
-             inst.id s.s_id)
-      else if
-        not
-          (Float.equal inst.icfg.tau s.s_cfg.tau
-          && inst.icfg.k = s.s_cfg.k
-          && Float.equal inst.icfg.p s.s_cfg.p)
-      then
-        Error
-          (Printf.sprintf "instance %S: the delta has other tau/k/p" s.s_name)
-      else if s.s_records < inst.i_records then
-        Error
-          (Printf.sprintf "instance %S: records fall from %d to %d" s.s_name
-             inst.i_records s.s_records)
-      else
-        match List.find_opt falls s.s_weights with
-        | Some (key, v) ->
-            Error
-              (Printf.sprintf "instance %S: the weight of key %d falls to %h"
-                 s.s_name key v)
-        | None ->
-            inst.i_records <- s.s_records;
-            inst.totals.volume <- s.s_volume;
-            let stamp = Float.of_int s.s_records in
-            List.iter
-              (fun (key, v) -> set_weight inst ~stamp key v)
-              s.s_weights;
-            seal_instance inst;
-            Ok inst)
+   installing the full summary. The partitions are key-disjoint (each
+   key checked against its owner), so each part's columns are applied
+   as they are, with no merged copy, through the cells the check found;
+   the totals are summed as Merge.merge_all sums them, the volumes left
+   to right. Everything is checked before anything changes. *)
+let apply_delta ?(owner = fun _ -> 0) t parts =
+  match parts with
+  | [] -> Error "no delta to apply"
+  | first :: rest -> (
+      match Hashtbl.find_opt t.by_name first.s_name with
+      | None -> Error (Printf.sprintf "unknown instance %S" first.s_name)
+      | Some inst ->
+          let total =
+            List.fold_left (fun acc s -> acc + Array.length s.s_keys) 0 parts
+          in
+          if Array.length t.held < total then
+            t.held <- Array.make (max total (2 * Array.length t.held)) absent;
+          let rec check i base records = function
+            | [] ->
+                if records < inst.i_records then
+                  Error
+                    (Printf.sprintf "instance %S: records fall from %d to %d"
+                       inst.i_name inst.i_records records)
+                else Ok records
+            | s :: more ->
+                if s.s_name <> inst.i_name then
+                  Error
+                    (Printf.sprintf "cannot merge instance %S with %S"
+                       inst.i_name s.s_name)
+                else if s.s_id <> inst.id then
+                  Error
+                    (Printf.sprintf "instance %S has id %d, the delta %d"
+                       inst.i_name inst.id s.s_id)
+                else if
+                  not
+                    (Float.equal inst.icfg.tau s.s_cfg.tau
+                    && inst.icfg.k = s.s_cfg.k
+                    && Float.equal inst.icfg.p s.s_cfg.p)
+                then
+                  Error
+                    (Printf.sprintf "instance %S: the delta has other tau/k/p"
+                       inst.i_name)
+                else
+                  Result.bind (check_part t inst ~owner ~base i s) (fun () ->
+                      check (i + 1)
+                        (base + Array.length s.s_keys)
+                        (records + s.s_records) more)
+          in
+          Result.map
+            (fun records ->
+              inst.i_records <- records;
+              inst.totals.volume <-
+                List.fold_left
+                  (fun v s -> v +. s.s_volume)
+                  first.s_volume rest;
+              let stamp = Float.of_int records in
+              ignore
+                (List.fold_left
+                   (fun base s ->
+                     let keys = s.s_keys and ws = s.s_weights in
+                     for j = 0 to Array.length keys - 1 do
+                       let c = t.held.(base + j) in
+                       if c == absent then set_weight inst ~stamp keys.(j) ws j
+                       else begin
+                         c.w <- Float.Array.get ws j;
+                         c.stamp <- stamp;
+                         sample_key inst ~first:false keys.(j) c
+                       end
+                     done;
+                     base + Array.length keys)
+                   0 parts);
+              seal_instance inst;
+              inst)
+            (check 0 0 0 parts))
 
 (* A new instance is the empty summary at the next id. *)
 let create_instance t ~name ?tau ?k ?p () =
@@ -597,7 +802,8 @@ let create_instance t ~name ?tau ?k ?p () =
         };
       s_records = 0;
       s_volume = 0.;
-      s_weights = [];
+      s_keys = [||];
+      s_weights = Float.Array.create 0;
     }
 
 type shard_stats = { shard : int; queue_depth : int; applied : int }

@@ -223,10 +223,10 @@ val bottom_k_size : instance -> int
 (** {2 Mergeable summaries (cluster mode)}
 
     A [summary] is the complete, order-independent export of one
-    instance: its counters and its weights, sorted by key, so
-    serializing a summary is byte-stable whatever the ingestion order or
-    hashtable state. {!Merge.payload} is its one serialization: PULL
-    ships it, and every snapshot section is one. *)
+    instance: its counters and its weights as two ascending unboxed
+    columns, so serializing a summary is byte-stable whatever the
+    ingestion order or hashtable state. {!Merge.add_payload} is its one
+    serialization: PULL ships it, and every snapshot section is one. *)
 
 type summary = {
   s_name : string;
@@ -234,14 +234,42 @@ type summary = {
   s_cfg : instance_config;
   s_records : int;
   s_volume : float;
-  s_weights : (int * float) list;  (** accumulated weights, ascending key *)
+  s_keys : int array;  (** the keys, strictly ascending *)
+  s_weights : floatarray;
+      (** [s_weights.(i)] is the accumulated weight of [s_keys.(i)];
+          same length as [s_keys] *)
 }
 
 val export_summary : ?since:int -> instance -> summary
 (** Export counters and weights (flush the store first). With
     [~since:records], only the keys stamped above that count — the keys
     changed after the instance had applied [records] records — with
-    the counters still the current totals. *)
+    the counters still the current totals. The keys are gathered into
+    an [int array] and radix-sorted there, their weights moving with
+    them in a [floatarray] (no list, no boxed pair), then copied out
+    at their exact length: {!export_into} without the copy. *)
+
+type scratch
+(** Columns an export gathers and sorts in, grown to the largest export
+    they serve. *)
+
+val scratch : unit -> scratch
+(** An empty scratch. *)
+
+val export_into :
+  ?scratch:scratch ->
+  ?since:int ->
+  instance ->
+  (summary -> int array -> floatarray -> int -> 'a) ->
+  'a
+(** [export_into ?scratch ?since inst f]: the export of {!export_summary}
+    handed to [f s keys ws n] without a copy — [s] the instance's
+    counters with no weights, and the first [n] entries of [keys] and
+    [ws] the ascending columns. The columns are the scratch's (a fresh
+    one when none is given): valid only during [f], and until the
+    scratch's next export. How PULL, SYNC and snapshots write a
+    payload; a writer of several passes one scratch to them all, so
+    writing a whole store leaves no columns per instance behind. *)
 
 val install_summary : t -> summary -> (instance, string) result
 (** Register an instance with the summary's counters and weights, under
@@ -254,17 +282,30 @@ val install_summary : t -> summary -> (instance, string) result
     instance takes its place in {!instances} by id. [Error] when
     {!check_create} fails or the id is negative. *)
 
-val apply_delta : t -> summary -> (instance, string) result
-(** Advance the instance named by a summary to it, key by key: the
-    counters become the summary's, and each listed key's weight is
-    replaced, stamped with the summary's records and fed through the
-    per-key sample code again. For a summary that lists every key whose
-    weight changed, the result equals {!install_summary} of the full
-    summary, because weights only grow: PPS inclusion is monotone in the
-    weight and binary membership is decided on the key's first
-    appearance. [Error], with nothing changed,
-    when there is no such instance, the id or [tau]/[k]/[p] differ, or
-    the records or a listed weight fall. *)
+val apply_delta :
+  ?owner:(int -> int) -> t -> summary list -> (instance, string) result
+(** Advance the instance the parts name by the partitions' deltas
+    ([PULL … since=]), each carrying its partition's current totals and
+    the keys it changed. The counters become the parts' totals: records
+    summed, volumes added left to right as {!Merge.merge_all} adds them.
+    Each listed key's weight is replaced, stamped with the new records
+    and fed through the per-key sample code again, part by part, with
+    no merged copy of the columns.
+
+    Every key of the [i]-th part must satisfy [owner key = i] ([owner]
+    defaults to [fun _ -> 0]: one partition), so the parts are
+    key-disjoint and a key's weight is its owner's. For deltas that list
+    every key whose weight changed, the result equals {!install_summary}
+    of the merged full summaries, because weights only grow: PPS
+    inclusion is monotone in the weight and binary membership is decided
+    on the key's first appearance.
+
+    One validation pass runs before anything changes; [Error], with
+    nothing changed, when there is no part or no such instance, the
+    parts disagree on the name, an id or [tau]/[k]/[p] differ from the
+    instance's, the records fall, or a key is out of order, not its
+    part's, not [> 0] or falls. Applying a delta over keys the instance
+    holds allocates nothing per key (pinned by the allocation tests). *)
 
 (** {2 Shard introspection (STATS)} *)
 

@@ -40,6 +40,23 @@ let minor_words_per_call ?(runs = 20) ?(warmup = 3) f =
   done;
   (Gc.minor_words () -. before) /. float_of_int runs
 
+(* Words one call of [f] allocates in both heaps — minor words plus
+   words allocated directly in the major heap, promotions not counted
+   twice — averaged over [runs] calls after [warmup] ones. *)
+let words_per_call ?(runs = 20) ?(warmup = 3) f =
+  for _ = 1 to warmup do
+    f ()
+  done;
+  let total () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = total () in
+  for _ = 1 to runs do
+    f ()
+  done;
+  (total () -. before) /. float_of_int runs
+
 (* [assert_same_alloc name cases]: every thunk allocates the same minor
    words per call — e.g. one walk over inputs of different sizes, which
    then allocates nothing per element. Native code only, like

@@ -40,6 +40,19 @@ let crc32_update crc s pos len =
 
 (* --- summary payloads --- *)
 
+(* A summary's weight columns as the list of pairs the oracles read,
+   and back. *)
+let weights (s : Store.summary) =
+  List.init (Array.length s.Store.s_keys) (fun i ->
+      (s.Store.s_keys.(i), Float.Array.get s.Store.s_weights i))
+
+let with_weights (s : Store.summary) pairs =
+  {
+    s with
+    Store.s_keys = Array.of_list (List.map fst pairs);
+    s_weights = Float.Array.of_list (List.map snd pairs);
+  }
+
 let int_field what s =
   match int_of_string_opt s with
   | Some v -> Ok v
@@ -90,7 +103,8 @@ let parse_summary_header line =
               s_cfg;
               s_records = records;
               s_volume = volume;
-              s_weights = [];
+              s_keys = [||];
+              s_weights = Float.Array.create 0;
             }
   | _ ->
       Error
@@ -109,7 +123,7 @@ let parse_section line items =
         | item :: rest -> (
             match String.split_on_char ' ' (line item) with
             | [ "end" ] ->
-                Ok ({ base with Store.s_weights = List.rev acc }, rest)
+                Ok (with_weights base (List.rev acc), rest)
             | [ "w"; key; v ] -> (
                 let* key = int_field "weight key" key in
                 let* v = weight_field v in

@@ -438,7 +438,7 @@ let test_infinite_weight () =
     [ "INGEST h 1 1e308"; "INGEST h 1 1e308"; "FLUSH" ];
   let inst = Option.get (Store.find r.Wal.store "h") in
   Alcotest.(check bool) "the weight overflowed" true
-    (List.assoc 1 (Store.export_summary inst).Store.s_weights = infinity);
+    (List.assoc 1 (Codec_oracle.weights (Store.export_summary inst)) = infinity);
   let before = reads engine in
   Alcotest.(check bool) "PULL carries the infinite weight" true
     (List.exists (fun l -> l = "w 1 infinity")

@@ -657,8 +657,9 @@ let test_sync_checkpoints_wal () =
 let restore_rule (s : Store.summary) =
   {
     s with
-    Store.s_records = List.length s.Store.s_weights;
-    s_volume = List.fold_left (fun acc (_, v) -> acc +. v) 0. s.Store.s_weights;
+    Store.s_records = Array.length s.Store.s_keys;
+    s_volume =
+      List.fold_left (fun acc (_, v) -> acc +. v) 0. (Codec_oracle.weights s);
   }
 
 let lines_exn c line =
@@ -827,11 +828,12 @@ let test_pull_cursors () =
         List.sort_uniq Int.compare (Array.to_list (Array.map fst more))
       in
       Alcotest.(check (list int)) "the delta lists exactly the changed keys"
-        changed (List.map fst d.Store.s_weights);
+        changed (Array.to_list d.Store.s_keys);
       Alcotest.(check bool) "with their current weights" true
         (List.for_all
-           (fun (k, v) -> Float.equal v (List.assoc k s.Store.s_weights))
-           d.Store.s_weights);
+           (fun (k, v) ->
+             Float.equal v (List.assoc k (Codec_oracle.weights s)))
+           (Codec_oracle.weights d));
       Alcotest.(check int) "and the current records" s.Store.s_records
         d.Store.s_records;
       Alcotest.(check bool) "and the current volume" true
@@ -896,7 +898,7 @@ let samples_of inst =
   ( Agg_oracle.pps_of_column ~instance_id:(Store.id inst)
       ~tau:(Store.instance_config inst).Store.tau (Store.pps_column inst),
     Agg_oracle.column_keys (Store.binary_column inst),
-    (Store.export_summary inst).Store.s_weights )
+    Codec_oracle.weights (Store.export_summary inst) )
 
 let test_install_rebuilds_live_samples () =
   List.iter
@@ -928,7 +930,7 @@ let test_install_rebuilds_live_samples () =
                     ~family:Sampling.Rank.PPS
                     ~instance:(Store.id inst) ~k:rebuild_k
                     (Sampling.Instance.of_assoc
-                       (Store.export_summary inst).Store.s_weights)
+                       (Codec_oracle.weights (Store.export_summary inst)))
                 in
                 let rs =
                   List.map (fun e -> e.Sampling.Bottom_k.rank)
@@ -983,7 +985,7 @@ let test_snapshot_restore_rule () =
   | Ok st2 ->
       List.iter2
         (fun i i2 ->
-          let w = (Store.export_summary i).Store.s_weights in
+          let w = Codec_oracle.weights (Store.export_summary i) in
           Alcotest.(check int) "records = key count" (List.length w)
             (Store.records i2);
           Alcotest.(check bool) "volume = ascending-key sum" true
@@ -1259,8 +1261,8 @@ let test_payload_mutations () =
   Store.flush st;
   let delta = Store.export_summary ~since inst in
   Alcotest.(check bool) "the delta holds some keys, not all" true
-    (delta.Store.s_weights <> []
-    && List.length delta.Store.s_weights < Store.cardinality inst);
+    (Array.length delta.Store.s_keys > 0
+    && Array.length delta.Store.s_keys < Store.cardinality inst);
   let run what ~seed good apply =
     let accepted = ref 0 in
     List.iter
@@ -1286,6 +1288,381 @@ let test_payload_mutations () =
   run "delta" ~seed:107 delta (fun s ->
       Result.bind (Merge.materialize (cfg ()) [ full ]) (fun base ->
           Merge.apply_deltas base [ s ]))
+
+(* Router replies: seeded byte mutants of whole PULL replies (header
+   and payload), full and [since=], each replacing one backend's reply
+   in an otherwise genuine round, go through the router's path — the
+   payload read as one block of the connection's buffer, scanned in
+   place, checked and applied per backend ([Router.apply]). The oracle
+   is the path it replaced: the payload read line by line, parsed by
+   the list codec ([Codec_oracle.of_lines]), the parts summed as sorted
+   pair lists, then checked as the list-merging router checked them. A
+   mutant must be accepted exactly when the oracle accepts it, with the
+   oracle's summary; a refused one must leave the resident store and
+   its cursors as they were; nothing may raise. *)
+
+(* One reply text framed as a client reads it off the wire: the header
+   line, then the [lines] it announces — as one block ([`Block]) or line
+   by line ([`Lines], the oracle's read). [None] when the text ends
+   first. *)
+let frame how text =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let len = String.length text in
+  let rec write off =
+    if off < len then write (off + Unix.write_substring a text off (len - off))
+  in
+  write 0;
+  Unix.shutdown a Unix.SHUTDOWN_SEND;
+  let conn = P.Conn.of_fd b in
+  let result =
+    match P.Conn.input_line_opt conn with
+    | None -> None
+    | Some header -> (
+        let announced =
+          if P.json_ok header then
+            Option.bind (P.json_field "lines" header) int_of_string_opt
+          else None
+        in
+        match (announced, how) with
+        | None, `Block -> Some (header, `Block "")
+        | None, `Lines -> Some (header, `Lines [])
+        | Some n, `Block -> (
+            match P.Conn.input_block conn n with
+            | Ok block -> Some (header, `Block block)
+            | Error _ -> None)
+        | Some n, `Lines ->
+            if n < 0 then None
+            else
+              let rec go i acc =
+                if i = n then Some (header, `Lines (List.rev acc))
+                else
+                  match P.Conn.input_line_opt conn with
+                  | Some l -> go (i + 1) (l :: acc)
+                  | None -> None
+              in
+              go 0 [])
+  in
+  P.Conn.close conn;
+  Unix.close a;
+  result
+
+(* Sorted pair lists summed key by key, left part first. *)
+let rec sum_pairs a b =
+  match (a, b) with
+  | [], r | r, [] -> r
+  | (ka, va) :: ta, (kb, vb) :: tb ->
+      if ka < kb then (ka, va) :: sum_pairs ta b
+      else if kb < ka then (kb, vb) :: sum_pairs a tb
+      else (ka, va +. vb) :: sum_pairs ta tb
+
+(* The list-merging router's verdict on one instance's replies:
+   [Error] for an unreadable reply, [Ok None] for "rebuild", [Ok (Some
+   (summary, cursors))] for the resident summary after the apply and
+   the cursors it leaves. [prev] is the resident summary, if any, and
+   [asked i] the cursor backend [i] was asked since. *)
+let oracle_verdict ~nb ~prev ~asked replies =
+  let ( let* ) = Result.bind in
+  let parse i (header, lines) =
+    if not (P.json_ok header) then Error "not ok"
+    else
+      match (P.json_field "master" header, P.json_field "mode" header) with
+      | Some m, Some mode
+        when m = string_of_int master
+             && mode = Store.mode_name Sampling.Seeds.Independent -> (
+          let* s = Codec_oracle.of_lines lines in
+          let field f = Option.bind (P.json_field f header) int_of_string_opt in
+          let epoch = field "epoch" in
+          let delta =
+            match asked i with
+            | Some (e, r) -> epoch = Some e && field "since" = Some r
+            | None -> false
+          in
+          Ok (s, Option.map (fun e -> (e, s.Store.s_records)) epoch, delta))
+      | _ -> Error "universe"
+  in
+  let* parts =
+    List.fold_left
+      (fun acc (i, r) ->
+        let* acc = acc in
+        let* p = parse i r in
+        Ok (acc @ [ p ]))
+      (Ok []) (List.mapi (fun i r -> (i, r)) replies)
+  in
+  let sums = List.map (fun (s, _, _) -> s) parts in
+  let first = List.hd sums in
+  let same (s : Store.summary) =
+    s.Store.s_name = first.Store.s_name
+    && s.Store.s_id = first.Store.s_id
+    && s.Store.s_cfg = first.Store.s_cfg
+  in
+  let owned =
+    List.for_all Fun.id
+      (List.mapi
+         (fun i s ->
+           Array.for_all (fun k -> Router.owner ~backends:nb k = i) s.Store.s_keys)
+         sums)
+  in
+  let merged =
+    List.fold_left
+      (fun acc s -> sum_pairs acc (Codec_oracle.weights s))
+      [] sums
+  in
+  let records = List.fold_left (fun acc s -> acc + s.Store.s_records) 0 sums in
+  let volume =
+    List.fold_left (fun v s -> v +. s.Store.s_volume) first.Store.s_volume
+      (List.tl sums)
+  in
+  let cursors () =
+    let cs = List.map (fun (_, c, _) -> c) parts in
+    if owned && List.for_all Option.is_some cs then
+      Some (List.map Option.get cs)
+    else None
+  in
+  let all_delta = List.for_all (fun (_, _, d) -> d) parts in
+  let no_delta = List.for_all (fun (_, _, d) -> not d) parts in
+  let result w =
+    Some
+      ( Codec_oracle.with_weights
+          { first with Store.s_records = records; s_volume = volume }
+          w,
+        cursors () )
+  in
+  match prev with
+  | None when no_delta && List.for_all same sums -> Ok (result merged)
+  | Some (prev : Store.summary)
+    when all_delta && owned
+         && List.for_all same sums
+         && first.Store.s_id = prev.Store.s_id
+         && first.Store.s_cfg = prev.Store.s_cfg
+         && records >= prev.Store.s_records
+         && List.for_all
+              (fun (k, v) ->
+                match List.assoc_opt k (Codec_oracle.weights prev) with
+                | Some w -> v >= w
+                | None -> true)
+              merged ->
+      let replaced =
+        List.filter
+          (fun (k, _) -> not (List.mem_assoc k merged))
+          (Codec_oracle.weights prev)
+      in
+      Ok (result (List.sort compare (replaced @ merged)))
+  | _ -> Ok None
+
+let test_reply_mutations () =
+  let nb = 2 in
+  let daemons =
+    Array.init nb (fun _ -> Daemon.start (Engine.create (Store.create (cfg ()))))
+  in
+  let addrs =
+    Array.to_list
+      (Array.map
+         (fun d ->
+           Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", Daemon.port d))
+         daemons)
+  in
+  let router () =
+    match Router.connect ~store_cfg:(cfg ()) addrs with
+    | Ok t -> t
+    | Error m -> Alcotest.failf "router connect: %s" m
+  in
+  (* Records go in through the router, so every key is on its owner. *)
+  let r0 = router () in
+  let h = Router.handlers r0 in
+  ignore
+    (h.Daemon.on_request
+       (P.Create { name = "a"; tau = Some tau; k = Some k; p = Some p }));
+  let batch recs =
+    let resp = h.Daemon.on_batch ~name:"a" recs in
+    if not (P.json_ok resp) then Alcotest.failf "batch: %s" resp
+  in
+  batch (records ~seed:111 300);
+  let clients =
+    Array.map
+      (fun d -> connect_exn "backend" (Client.connect_tcp ~port:(Daemon.port d) ()))
+      daemons
+  in
+  let pull i line =
+    match Client.pipeline_recv (Client.pipeline_send clients.(i) [ line ]) with
+    | Ok [ (header, block) ] -> header ^ "\n" ^ block
+    | _ -> Alcotest.failf "PULL from backend %d" i
+  in
+  let full = Array.init nb (fun i -> pull i "PULL a") in
+  let cursor_of text =
+    match frame `Block text with
+    | Some (header, `Block block) ->
+        ( int_of_string (Option.get (P.json_field "epoch" header)),
+          (Result.get_ok (Merge.of_block block)).Store.s_records )
+    | _ -> Alcotest.fail "framing a genuine reply"
+  in
+  let cursors = Array.map cursor_of full in
+  batch (records ~seed:112 80);
+  let delta =
+    Array.init nb (fun i ->
+        let e, r = cursors.(i) in
+        pull i (Printf.sprintf "PULL a since=%d:%d" e r))
+  in
+  Router.close r0;
+  let blocks texts =
+    Array.map
+      (fun t ->
+        match frame `Block t with
+        | Some (h, `Block b) -> (h, b)
+        | _ -> Alcotest.fail "framing a genuine reply")
+      texts
+  in
+  (* A router holding nothing, or holding [a] as the full replies left
+     it (cursors at [cursors]). *)
+  let fresh ~follow =
+    let t = router () in
+    (if follow then
+       match Router.apply t "a" (blocks full) with
+       | Ok true -> ()
+       | _ -> Alcotest.fail "installing the genuine full replies");
+    t
+  in
+  let resident_a t =
+    Option.map Store.export_summary (Store.find (Router.resident t) "a")
+  in
+  let state t =
+    ( Snapshot.to_string (Router.resident t),
+      List.init nb (fun i -> Router.cursor t "a" i) )
+  in
+  let run what ~seed ~follow genuine =
+    let t = ref (fresh ~follow) in
+    let accepted = ref 0 and refused = ref 0 in
+    List.iter
+      (fun (victim, m) ->
+        let texts = Array.mapi (fun i g -> if i = victim then m else g) genuine in
+        let framed how = Array.map (frame how) texts in
+        match (framed `Block, framed `Lines) with
+        | bs, ls when Array.exists Option.is_none bs ->
+            (* Cut short on the wire: a transport error for both reads. *)
+            Alcotest.(check bool)
+              (what ^ ": both reads see the reply cut short") true
+              (Array.for_all2
+                 (fun b l -> Option.is_none b = Option.is_none l)
+                 bs ls)
+        | bs, ls -> (
+            let raws =
+              Array.map
+                (function Some (h, `Block b) -> (h, b) | _ -> assert false)
+                bs
+            in
+            let lines =
+              Array.to_list
+                (Array.map
+                   (function Some (h, `Lines l) -> (h, l) | _ -> assert false)
+                   ls)
+            in
+            let before = state !t in
+            let prev = resident_a !t in
+            let asked i = Router.cursor !t "a" i in
+            let want = oracle_verdict ~nb ~prev ~asked lines in
+            match Router.apply !t "a" raws with
+            | exception e ->
+                Alcotest.failf "%s: Router.apply raised %s on %S" what
+                  (Printexc.to_string e) m
+            | got -> (
+                match (got, want) with
+                | Ok true, Ok (Some (s, cs)) ->
+                    incr accepted;
+                    check_payload (what ^ ": the oracle's summary") s
+                      (Option.get (resident_a !t));
+                    Alcotest.(check (list (option (pair int int))))
+                      (what ^ ": the oracle's cursors")
+                      (match cs with
+                      | Some cs -> List.map Option.some cs
+                      | None -> List.init nb (fun _ -> None))
+                      (List.init nb (fun i -> Router.cursor !t "a" i));
+                    Router.close !t;
+                    t := fresh ~follow
+                | (Ok false | Error _), (Ok None | Error _) ->
+                    incr refused;
+                    let after = state !t in
+                    Alcotest.(check string)
+                      (what ^ ": a refusal leaves the store") (fst before)
+                      (fst after);
+                    Alcotest.(check bool)
+                      (what ^ ": a refusal leaves the cursors") true
+                      (snd before = snd after)
+                | _ ->
+                    Alcotest.failf "%s: router %s, oracle %s, on %S" what
+                      (match got with
+                      | Ok b -> string_of_bool b
+                      | Error m -> "error " ^ m)
+                      (match want with
+                      | Ok (Some _) -> "applies"
+                      | Ok None -> "rebuilds"
+                      | Error m -> "error " ^ m)
+                      m)))
+      (List.concat_map
+         (fun i ->
+           List.map (fun m -> (i, m)) (mutants ~seed:(seed + i) ~n:750 genuine.(i)))
+         (List.init nb Fun.id));
+    Router.close !t;
+    Alcotest.(check bool) (what ^ ": some mutants apply") true (!accepted > 0);
+    Alcotest.(check bool) (what ^ ": some mutants are refused") true
+      (!refused > 0)
+  in
+  run "full" ~seed:121 ~follow:false full;
+  run "delta" ~seed:131 ~follow:true delta;
+  Array.iter
+    (fun c ->
+      ignore (ok_exn c "SHUTDOWN");
+      Client.close c)
+    clients;
+  Array.iter Daemon.join daemons
+
+(* The router's apply over keys the resident store already holds: each
+   backend's delta columns go straight into the store, so one apply
+   allocates a fixed number of words — the parts' checks and the
+   result — and nothing per key. The columns themselves are the
+   delta's, allocated when its reply was scanned. The weights are the
+   held ones (a delta may repeat a weight), so every call applies the
+   same delta to the same state. *)
+let test_warm_delta_alloc () =
+  let nb = 2 in
+  let parts_of n =
+    let st = store_of [ ("a", Array.init n (fun i -> (i + 1, 0.25))) ] in
+    let inst = Option.get (Store.find st "a") in
+    let full = Store.export_summary inst in
+    let part i =
+      let own =
+        List.filter
+          (fun (key, _) -> Router.owner ~backends:nb key = i)
+          (Codec_oracle.weights full)
+      in
+      Codec_oracle.with_weights
+        {
+          full with
+          Store.s_records = (if i = 0 then full.Store.s_records else 0);
+          s_volume = (if i = 0 then full.Store.s_volume else 0.);
+        }
+        own
+    in
+    (st, List.init nb part)
+  in
+  let apply (st, parts) () =
+    match
+      Merge.apply_deltas ~owner:(Router.owner ~backends:nb) st parts
+    with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "warm delta refused: %s" m
+  in
+  let small = parts_of 1_000 and large = parts_of 10_000 in
+  let words = Allocheck.words_per_call (apply large) in
+  if Allocheck.is_native then begin
+    Alcotest.(check bool)
+      (Printf.sprintf
+         "a warm 10k-key delta allocates at most 256 minor+major words (%.0f)"
+         words)
+      true (words <= 256.);
+    Alcotest.(check (float 0.))
+      "as many words as a 1k-key delta"
+      (Allocheck.words_per_call (apply small))
+      words
+  end
 
 let test_snapshot_mutations () =
   let st =
@@ -1321,6 +1698,8 @@ let () =
             test_overflowed_volume_roundtrip;
           Alcotest.test_case "byte mutations never raise" `Quick
             test_payload_mutations;
+          Alcotest.test_case "router reply mutants match the list oracle"
+            `Quick test_reply_mutations;
           Alcotest.test_case "weight lines equal Printf" `Quick
             test_weight_line_matches_printf;
         ] );
@@ -1332,6 +1711,8 @@ let () =
             test_snapshot_restore_rule;
           Alcotest.test_case "snapshot byte mutations never raise" `Quick
             test_snapshot_mutations;
+          Alcotest.test_case "warm delta apply allocates per part, not per key"
+            `Quick test_warm_delta_alloc;
         ] );
       ( "algebra",
         [

@@ -216,7 +216,7 @@ let create_exn st ~name ?tau ?k ?p () =
 (* An instance's state as the batch samplers and the list oracles take
    it: the accumulated weights (from its exported summary) and its
    resident sample columns as lists. *)
-let weights inst = (Store.export_summary inst).Store.s_weights
+let weights inst = Codec_oracle.weights (Store.export_summary inst)
 let instance_of inst = I.of_assoc (weights inst)
 
 let pps_sample inst =

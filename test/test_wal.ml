@@ -231,7 +231,8 @@ let weights_of st name =
   Sampling.Instance.iter
     (fun k v -> acc := (k, v) :: !acc)
     (Sampling.Instance.of_assoc
-       (Store.export_summary (Option.get (Store.find st name))).Store.s_weights);
+       (Codec_oracle.weights
+          (Store.export_summary (Option.get (Store.find st name)))));
   List.sort compare !acc
 
 (* Bit-identical state and answers vs. the uninterrupted prefix run. *)
@@ -400,7 +401,7 @@ let v1_text st =
            (Printf.sprintf "instance %s %d %h %d %h\n" s.Store.s_name
               s.Store.s_id ic.Store.tau ic.Store.k ic.Store.p
            :: List.map (fun (k, v) -> Printf.sprintf "%d %h\n" k v)
-                s.Store.s_weights)
+                (Codec_oracle.weights s))
            @ [ "end\n" ])
          insts)
 
@@ -795,6 +796,43 @@ let test_batch_malformed_body () =
   Client.close c;
   Daemon.join daemon
 
+(* Over TCP both ends of a connection set TCP_NODELAY: the client when
+   it dials, the daemon when it accepts. Both ends of a loopback pair
+   live in this process, so they are found among its open descriptors
+   by address (on Linux, through /proc/self/fd, where a descriptor is
+   its number). *)
+let test_tcp_nodelay () =
+  let daemon = Daemon.start (Engine.create (Store.create cfg)) in
+  let port = Daemon.port daemon in
+  let c = get (Client.connect_tcp ~port ()) in
+  ignore (get (Client.request c "STATS"));
+  (if Sys.file_exists "/proc/self/fd" then
+     let ends =
+       List.filter_map
+         (fun name ->
+           match int_of_string_opt name with
+           | None -> None
+           | Some n -> (
+               let fd : Unix.file_descr = Obj.magic n in
+               match (Unix.getsockname fd, Unix.getpeername fd) with
+               | Unix.ADDR_INET (_, local), Unix.ADDR_INET (_, peer)
+                 when local = port || peer = port ->
+                   Some (local = port, Unix.getsockopt fd Unix.TCP_NODELAY)
+               | _ -> None
+               | exception Unix.Unix_error _ -> None))
+         (Array.to_list (Sys.readdir "/proc/self/fd"))
+     in
+     let side server =
+       List.filter_map (fun (s, nd) -> if s = server then Some nd else None) ends
+     in
+     Alcotest.(check (list bool)) "the client's end has TCP_NODELAY" [ true ]
+       (side false);
+     Alcotest.(check (list bool)) "the daemon's accepted end has TCP_NODELAY"
+       [ true ] (side true));
+  ignore (get (Client.request c "SHUTDOWN"));
+  Client.close c;
+  Daemon.join daemon
+
 let test_conn_drop_injection () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let ca = P.Conn.of_fd a and cb = P.Conn.of_fd b in
@@ -1063,6 +1101,8 @@ let () =
             `Quick test_batch_malformed_body;
           Alcotest.test_case "injected connection drop" `Quick
             test_conn_drop_injection;
+          Alcotest.test_case "tcp connections set TCP_NODELAY" `Quick
+            test_tcp_nodelay;
         ] );
       ( "daemon",
         [

@@ -189,16 +189,8 @@ let read_payload t conn header =
    left nothing half-read, so the connection is re-dialed once and the
    requests resent (a restarted backend is transparent, as with
    request_retry); a drop after it is an error — there is no way to
-   resume a half-read response. The responses are read one at a time,
-   so a caller can use each as it arrives. *)
-type pipeline = {
-  p_client : t;
-  p_lines : string list;
-  p_count : int;
-  p_sent : bool;  (* written on the connection the first read uses *)
-  mutable p_read : int;  (* responses read so far *)
-  mutable p_failed : string option;  (* set once a read fails *)
-}
+   resume a half-read response. *)
+type pipeline = { p_client : t; p_lines : string list; p_sent : bool }
 
 let write_lines t lines =
   match t.conn with
@@ -211,69 +203,48 @@ let write_lines t lines =
           false)
 
 let pipeline_send t lines =
-  {
-    p_client = t;
-    p_lines = lines;
-    p_count = List.length lines;
-    p_sent = lines = [] || write_lines t lines;
-    p_read = 0;
-    p_failed = None;
-  }
+  { p_client = t; p_lines = lines; p_sent = (lines = [] || write_lines t lines) }
 
-let read_response t =
+let read_responses t n =
   match t.conn with
   | None -> `Unread
-  | Some conn -> (
-      match Protocol.Conn.input_line_opt conn with
-      | None ->
-          drop t conn;
-          `Unread
-      | Some header -> (
-          match read_payload t conn header with
-          | Ok r -> `Read r
-          | Error m -> `Failed m))
-
-let pipeline_next p =
-  let t = p.p_client in
-  let fail m =
-    p.p_failed <- Some m;
-    Error m
-  in
-  let got r =
-    p.p_read <- p.p_read + 1;
-    Ok r
-  in
-  match p.p_failed with
-  | Some m -> Error m
-  | None when p.p_read >= p.p_count -> Error "no response left to read"
-  | None -> (
-      match if p.p_sent || p.p_read > 0 then read_response t else `Unread with
-      | `Read r -> got r
-      | `Failed m -> fail m
-      | `Unread when p.p_read > 0 ->
-          fail
-            (Printf.sprintf "connection closed after %d of %d responses"
-               p.p_read p.p_count)
-      | `Unread -> (
-          match reconnect t with
-          | Error m -> fail m
-          | Ok _ -> (
-              if not (write_lines t p.p_lines) then fail "connection closed"
+  | Some conn ->
+      let rec go i acc =
+        if i = n then `Read (List.rev acc)
+        else
+          match Protocol.Conn.input_line_opt conn with
+          | None ->
+              drop t conn;
+              if i = 0 then `Unread
               else
-                match read_response t with
-                | `Read r -> got r
-                | `Failed m -> fail m
-                | `Unread -> fail "connection closed")))
+                `Failed
+                  (Printf.sprintf "connection closed after %d of %d responses"
+                     i n)
+          | Some header -> (
+              match read_payload t conn header with
+              | Ok r -> go (i + 1) (r :: acc)
+              | Error m -> `Failed m)
+      in
+      go 0 []
 
-let pipeline_recv p =
-  let rec go acc =
-    if p.p_read >= p.p_count then Ok (List.rev acc)
-    else
-      match pipeline_next p with
-      | Ok r -> go (r :: acc)
-      | Error _ as e -> e
+let pipeline_recv { p_client = t; p_lines = lines; p_sent } =
+  let n = List.length lines in
+  let first =
+    if n = 0 then `Read [] else if p_sent then read_responses t n else `Unread
   in
-  go []
+  match first with
+  | `Read rs -> Ok rs
+  | `Failed m -> Error m
+  | `Unread -> (
+      match reconnect t with
+      | Error _ as e -> e
+      | Ok _ -> (
+          if not (write_lines t lines) then Error "connection closed"
+          else
+            match read_responses t n with
+            | `Read rs -> Ok rs
+            | `Failed m -> Error m
+            | `Unread -> Error "connection closed"))
 
 (* The block's lines as {!Protocol.Conn.input_line_opt} reads them: a
    final newline ends the last line, and each line loses one trailing

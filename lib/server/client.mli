@@ -41,15 +41,8 @@ val pipeline_send : t -> string list -> pipeline
     several servers, then {!pipeline_recv} from each, and they all work
     at once. For requests that may be sent twice (reads such as PULL). *)
 
-val pipeline_next : pipeline -> (string * string, string) result
-(** The next response to a {!pipeline_send}, read as {!pipeline_recv}
-    reads each: a caller can use one response while the server still
-    works on the next. After a failed read every later call fails the
-    same way; [Error] too once every response is read. *)
-
 val pipeline_recv : pipeline -> ((string * string) list, string) result
-(** The responses to a {!pipeline_send} not yet read by
-    {!pipeline_next}, in order: each its JSON header
+(** The responses to a {!pipeline_send}, in order: each its JSON header
     and, when the header announces [lines], those lines as one block
     cut out of the connection's read buffer
     ({!Protocol.Conn.input_block}: every line newline-terminated, CRs

@@ -100,10 +100,6 @@ let strip_cr line =
 
 let ns_to_s ns = Int64.to_float ns /. 1e9
 
-(* Queued output past which a connection is written to before its next
-   request is handled. *)
-let large_response = 1 lsl 16
-
 (* --- the event loop --- *)
 
 (* The loop itself is transport + framing only; what a request *means*
@@ -262,11 +258,6 @@ let serve_handlers ?(config = default_config) handlers sock =
         if String.length line > config.max_line_bytes then too_long c
         else begin
           handle_line c (strip_cr line);
-          (* A large response (a PULL or SYNC payload) starts out before
-             the next request runs, so a pipelining peer reads it while
-             this loop works on the next; small ones still leave
-             together. A dead peer is found again by the next flush. *)
-          if c.wbytes >= large_response then ignore (flush_writes c);
           process_buffer c
         end
       end

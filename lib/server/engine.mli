@@ -106,7 +106,7 @@ val handle_request : t -> Protocol.request -> string * action
     responses are one JSON line. [PULL] answers {!Protocol.ok_block}
     with the instance's payload ({!Merge.add_payload}) and the store's {!Store.epoch}
     in the header; given a [since=] cursor of this epoch, the payload is
-    that of {!Store.export_summary}[ ~since] and the header echoes the
+    that of {!Store.export_into}[ ~since] and the header echoes the
     cursor's records as [since]. [SYNC] answers the full snapshot text
     the same way (taking a {!Wal.checkpoint} first when a WAL is
     attached — the response then carries the new WAL [epoch], a number

@@ -324,9 +324,9 @@ let of_lines = function
 (* A payload as the client hands it over: one block of newline-ended
    lines (the last may lack its newline), each read as a span of the
    block with one trailing CR dropped — the lines {!of_lines} would be
-   given, never cut out. The line count (the reply header's, or counted
-   here) sizes the columns exactly. *)
-let of_block ?lines s =
+   given, never cut out. The reply header's line count sizes the
+   columns exactly. *)
+let of_block ~lines s =
   let len = String.length s in
   let rec eol i =
     if i = len || String.unsafe_get s i = '\n' then i else eol (i + 1)
@@ -334,16 +334,6 @@ let of_block ?lines s =
   let span_end pos e = if e > pos && s.[e - 1] = '\r' then e - 1 else e in
   if len = 0 then Error "empty summary payload"
   else
-    let lines =
-      match lines with
-      | Some n -> n
-      | None ->
-          let n = ref 0 in
-          for i = 0 to len - 1 do
-            if String.unsafe_get s i = '\n' then incr n
-          done;
-          !n
-    in
     let first = eol 0 in
     (* A line takes a byte at least, whatever [lines] says. *)
     let* sec =
@@ -387,5 +377,5 @@ let install st parts =
   let* s = merge_all (Store.seeds st) parts in
   Result.map ignore (Store.install_summary st s)
 
-let apply_deltas ?owner st parts =
-  Result.map ignore (Store.apply_delta ?owner st parts)
+let apply_deltas ~owner st parts =
+  Result.map ignore (Store.apply_delta ~owner st parts)

@@ -80,15 +80,15 @@ val of_lines : string list -> (Store.summary, string) result
     all errors. An infinite weight or volume is accepted: finite records
     can sum past [max_float]. *)
 
-val of_block : ?lines:int -> string -> (Store.summary, string) result
-(** Read a payload handed over as one block of newline-terminated lines
-    (the last line may lack its newline), as {!Client.pipeline_recv}
-    returns a reply's payload: each line is a span of the block, one
+val of_block : lines:int -> string -> (Store.summary, string) result
+(** [of_block ~lines block]: read a payload handed over as one block of
+    newline-terminated lines (the last line may lack its newline), as
+    {!Client.pipeline_recv} returns a reply's payload, [lines] the count
+    its header announces: each line is a span of the block, one
     trailing CR dropped, fed to {!section_line}, so the block is never
     cut into lines and the weights go straight into columns sized by
-    the line count — [lines] when the caller knows it (a reply header
-    announces it), else counted. Accepts and refuses exactly what
-    {!of_lines} does on the block's lines. *)
+    [lines]. Accepts and refuses exactly what {!of_lines} does on the
+    block's lines, whatever [lines] says. *)
 
 (** {3 Reading a payload in place}
 
@@ -145,12 +145,12 @@ val install : Store.t -> Store.summary list -> (unit, string) result
     instance: what {!materialize} does for each summary. *)
 
 val apply_deltas :
-  ?owner:(int -> int) -> Store.t -> Store.summary list -> (unit, string) result
+  owner:(int -> int) -> Store.t -> Store.summary list -> (unit, string) result
 (** Advance an instance the store holds by the partitions' delta
     payloads ([PULL … since=]), through {!Store.apply_delta}: each part
     carries its partition's current totals and the keys it changed, and
     its columns are applied as they are, with no merge. The [i]-th part
-    may list only keys with [owner key = i] (default: one partition), as
+    may list only keys with [owner key = i], as
     the {!Router}'s placement makes them; a key's merged weight is then
     its owner's weight. [Error], with nothing changed, when a part does
     not fit or the store refuses the delta. *)

@@ -193,7 +193,7 @@ let parse_reply t i ~asked (header, block) =
     let* summary =
       Result.map_error
         (fun m -> Printf.sprintf "backend %d: bad summary payload: %s" i m)
-        (Merge.of_block ?lines:(field "lines") block)
+        (Merge.of_block ~lines:(Option.value ~default:0 (field "lines")) block)
     in
     let epoch = field "epoch" in
     Ok
@@ -209,64 +209,50 @@ let parse_reply t i ~asked (header, block) =
           | None -> false);
       }
 
-(* One round of PULLs: every backend gets all of the round's requests
-   before any reply is read, so the daemons export and encode at the
-   same time. [asked name i] is the cursor to send backend [i] for
-   [name]. The replies are read name by name, each payload as one block
-   of the client's read buffer, and each name's replies go to [each]
-   before the next name's are read: the router scans and applies one
-   instance while the daemons still export the next. [each] answers
-   [Ok true] to go on; the round's result is the first [Ok false] or
-   [Error] (a transport failure first, the first backend's first), and
-   every reply is read whatever fails. *)
-let pull_round t names asked each =
-  let n = backend_count t in
-  let sent =
-    Numerics.Obs.span ~cat:"router" "router.pull" @@ fun () ->
-    Array.init n (fun i ->
-        Client.pipeline_send t.backends.(i)
-          (List.map (fun name -> pull_line name (asked name i)) names))
-  in
-  let rec go result = function
-    | [] -> result
-    | name :: rest ->
-        let received =
-          Numerics.Obs.span ~cat:"router" "router.pull" @@ fun () ->
-          Array.map Client.pipeline_next sent
-        in
-        let result =
-          match result with
-          | Ok true -> (
-              let failed = ref None in
-              Array.iteri
-                (fun i r ->
-                  match (r, !failed) with
-                  | Error m, None ->
-                      failed := Some (Printf.sprintf "backend %d: %s" i m)
-                  | _ -> ())
-                received;
-              match !failed with
-              | Some m -> Error m
-              | None -> each name (Array.map Result.get_ok received))
-          | stopped -> stopped
-        in
-        go result rest
-  in
-  go (Ok true) names
+(* The cursor the router follows backend [i]'s [name] by, if any. *)
+let followed t name i =
+  Option.map (fun cs -> cs.(i)) (Hashtbl.find_opt t.cursors name)
 
-(* Scan one instance's replies in backend order; the first bad one is
-   the error. *)
-let parse_replies t name raws =
-  let asked i =
-    Option.map (fun cs -> cs.(i)) (Hashtbl.find_opt t.cursors name)
-  in
+(* Scan one instance's replies, one per backend, in backend order; the
+   first bad one is the error. [asked name i] is the cursor backend [i]
+   was asked since. *)
+let scan t asked name raws =
   let rec go i acc =
-    if i = Array.length raws then Ok (Array.of_list (List.rev acc))
+    if i = Array.length raws then Ok (name, Array.of_list (List.rev acc))
     else
-      let* r = parse_reply t i ~asked:(asked i) raws.(i) in
+      let* raw = Result.map_error (Printf.sprintf "backend %d: %s" i) raws.(i) in
+      let* r = parse_reply t i ~asked:(asked name i) raw in
       go (i + 1) (r :: acc)
   in
   go 0 []
+
+(* One round of PULLs: every backend gets all of the round's requests
+   before any reply is read, so the daemons export and encode at the
+   same time. [asked name i] is the cursor to send backend [i] for
+   [name]. Every reply is read whatever fails, each payload as one block
+   of the client's read buffer, before any is scanned; the first error
+   in (name, backend) order is the round's. *)
+let pull_round t names asked =
+  let n = backend_count t in
+  let received =
+    Numerics.Obs.span ~cat:"router" "router.pull" @@ fun () ->
+    let sent =
+      Array.init n (fun i ->
+          Client.pipeline_send t.backends.(i)
+            (List.map (fun name -> pull_line name (asked name i)) names))
+    in
+    Array.map (fun p -> Result.map Array.of_list (Client.pipeline_recv p)) sent
+  in
+  Numerics.Obs.span ~cat:"router" "router.apply" @@ fun () ->
+  let rec each j acc = function
+    | [] -> Ok (List.rev acc)
+    | name :: rest ->
+        let* r =
+          scan t asked name (Array.map (Result.map (fun rs -> rs.(j))) received)
+        in
+        each (j + 1) (r :: acc) rest
+  in
+  each 0 [] names
 
 let summaries replies = Array.to_list (Array.map (fun r -> r.summary) replies)
 
@@ -286,14 +272,12 @@ let follow t name replies ~owned =
     Hashtbl.replace t.cursors name (Array.map Option.get cursors)
   else Hashtbl.remove t.cursors name
 
-(* Scan one instance's replies and apply them to the resident store:
-   [Ok false] when they cannot be applied as they are and the store must
-   be rebuilt. Deltas go through one Merge entry point, each backend's
+(* Apply one instance's scanned replies to the resident store; [false]
+   when they cannot be applied as they are and the store must be
+   rebuilt. Deltas go through one Merge entry point, each backend's
    columns applied as they are after one check of every key (its owner,
    order and weight) and of the totals; a refusal changes nothing. *)
-let apply t name raws =
-  Numerics.Obs.span ~cat:"router" "router.apply" @@ fun () ->
-  let* replies = parse_replies t name raws in
+let advance t (name, replies) =
   let applied, owned =
     match Store.find t.resident name with
     | None when Array.for_all (fun r -> not r.delta) replies ->
@@ -308,35 +292,32 @@ let apply t name raws =
     | _ -> (false, false)
   in
   if applied then follow t name replies ~owned;
-  Ok applied
+  applied
 
-let cursor t name i =
-  Option.map
-    (fun cs -> (cs.(i).c_epoch, cs.(i).c_records))
-    (Hashtbl.find_opt t.cursors name)
+let apply t name raws =
+  Numerics.Obs.span ~cat:"router" "router.apply" @@ fun () ->
+  Result.map (advance t) (scan t (followed t) name (Array.map Result.ok raws))
 
 (* From scratch: full PULLs of [names] into a fresh resident store,
    which drops every other instance (a later read installs it again).
    On failure the old store stays, still consistent with its cursors. *)
 let rebuild t names =
+  let* rounds = pull_round t names (fun _ _ -> None) in
+  Numerics.Obs.span ~cat:"router" "router.apply" @@ fun () ->
   let st = Store.create ~pool:t.pool t.cfg in
-  let installed = ref [] in
-  let* _ =
-    pull_round t names
-      (fun _ _ -> None)
-      (fun name raws ->
-        Numerics.Obs.span ~cat:"router" "router.apply" @@ fun () ->
-        let* replies = parse_replies t name raws in
+  let rec install = function
+    | [] -> Ok ()
+    | (_, replies) :: rest ->
         let* () = Merge.install st (summaries replies) in
-        installed := (name, replies) :: !installed;
-        Ok true)
+        install rest
   in
+  let* () = install rounds in
   t.resident <- st;
   Hashtbl.reset t.cursors;
   List.iter
     (fun (name, replies) ->
       follow t name replies ~owned:(all_owned t replies))
-    !installed;
+    rounds;
   Ok ()
 
 (* Bring the resident store's [names] up to date with the backends. A
@@ -349,11 +330,14 @@ let refresh t names =
          (fun acc n -> if List.mem n acc then acc else n :: acc)
          [] names)
   in
-  let asked name i =
-    Option.map (fun cs -> cs.(i)) (Hashtbl.find_opt t.cursors name)
+  let* rounds = pull_round t names (followed t) in
+  let* () =
+    if
+      Numerics.Obs.span ~cat:"router" "router.apply" @@ fun () ->
+      List.for_all (advance t) rounds
+    then Ok ()
+    else rebuild t names
   in
-  let* applied = pull_round t names asked (apply t) in
-  let* () = if applied then Ok () else rebuild t names in
   t.names <- t.names @ List.filter (fun n -> not (List.mem n t.names)) names;
   Ok ()
 

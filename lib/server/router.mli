@@ -100,11 +100,6 @@ val apply : t -> string -> (string * string) array -> (bool, string) result
     read rebuilds); a refusal leaves the resident store and its cursors
     unchanged. *)
 
-val cursor : t -> string -> int -> (int * int) option
-(** [cursor t name i]: the [(epoch, records)] of backend [i]'s last
-    reply applied for [name], which the next read asks since; [None]
-    while the instance is not followed by deltas. *)
-
 val handlers : t -> Daemon.handlers
 (** The fan-out request handlers, pluggable into {!Daemon}'s event
     loop. *)

@@ -17,7 +17,7 @@
 
     No query reads a bottom-k (priority) sample, so the store keeps
     none: the sample is {!Sampling.Bottom_k.sample} of the exported
-    weights ({!export_summary}), and {!bottom_k_size}, which STATS
+    weights ({!export_into}), and {!bottom_k_size}, which STATS
     reports, is [min k] and the key count.
 
     Applying a record to a key the instance already holds allocates
@@ -102,7 +102,7 @@ val epoch : t -> int
     creates one too): two stores of one process never share it, and a
     restarted process draws a new one. With an instance's {!records} it
     names a point in that instance's history — the cursor of
-    [PULL … since=], see {!export_summary}. *)
+    [PULL … since=], see {!export_into}. *)
 
 val seeds : t -> Sampling.Seeds.t
 val pool : t -> Numerics.Pool.t
@@ -240,15 +240,6 @@ type summary = {
           same length as [s_keys] *)
 }
 
-val export_summary : ?since:int -> instance -> summary
-(** Export counters and weights (flush the store first). With
-    [~since:records], only the keys stamped above that count — the keys
-    changed after the instance had applied [records] records — with
-    the counters still the current totals. The keys are gathered into
-    an [int array] and radix-sorted there, their weights moving with
-    them in a [floatarray] (no list, no boxed pair), then copied out
-    at their exact length: {!export_into} without the copy. *)
-
 type scratch
 (** Columns an export gathers and sorts in, grown to the largest export
     they serve. *)
@@ -262,10 +253,15 @@ val export_into :
   instance ->
   (summary -> int array -> floatarray -> int -> 'a) ->
   'a
-(** [export_into ?scratch ?since inst f]: the export of {!export_summary}
-    handed to [f s keys ws n] without a copy — [s] the instance's
-    counters with no weights, and the first [n] entries of [keys] and
-    [ws] the ascending columns. The columns are the scratch's (a fresh
+(** [export_into ?scratch ?since inst f]: export counters and weights
+    (flush the store first), handed to [f s keys ws n] — [s] the
+    instance's counters with no weights, and the first [n] entries of
+    [keys] and [ws] the weights as ascending columns. With
+    [~since:records], only the keys stamped above that count — the keys
+    changed after the instance had applied [records] records — with the
+    counters still the current totals. The keys are gathered into an
+    [int array] and radix-sorted there, their weights moving with them
+    in a [floatarray] (no list, no boxed pair). The columns are the scratch's (a fresh
     one when none is given): valid only during [f], and until the
     scratch's next export. How PULL, SYNC and snapshots write a
     payload; a writer of several passes one scratch to them all, so
@@ -283,7 +279,7 @@ val install_summary : t -> summary -> (instance, string) result
     {!check_create} fails or the id is negative. *)
 
 val apply_delta :
-  ?owner:(int -> int) -> t -> summary list -> (instance, string) result
+  owner:(int -> int) -> t -> summary list -> (instance, string) result
 (** Advance the instance the parts name by the partitions' deltas
     ([PULL … since=]), each carrying its partition's current totals and
     the keys it changed. The counters become the parts' totals: records
@@ -292,9 +288,8 @@ val apply_delta :
     and fed through the per-key sample code again, part by part, with
     no merged copy of the columns.
 
-    Every key of the [i]-th part must satisfy [owner key = i] ([owner]
-    defaults to [fun _ -> 0]: one partition), so the parts are
-    key-disjoint and a key's weight is its owner's. For deltas that list
+    Every key of the [i]-th part must satisfy [owner key = i] (one
+    partition: [fun _ -> 0]), so the parts are key-disjoint and a key's weight is its owner's. For deltas that list
     every key whose weight changed, the result equals {!install_summary}
     of the merged full summaries, because weights only grow: PPS
     inclusion is monotone in the weight and binary membership is decided

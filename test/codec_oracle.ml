@@ -46,6 +46,16 @@ let weights (s : Store.summary) =
   List.init (Array.length s.Store.s_keys) (fun i ->
       (s.Store.s_keys.(i), Float.Array.get s.Store.s_weights i))
 
+(* An instance's export as a summary of its own: {!Store.export_into}
+   with the columns copied out at their exact length. *)
+let export_summary ?since inst =
+  Store.export_into ?since inst (fun s keys ws n ->
+      {
+        s with
+        Store.s_keys = Array.sub keys 0 n;
+        s_weights = Float.Array.sub ws 0 n;
+      })
+
 let with_weights (s : Store.summary) pairs =
   {
     s with

@@ -292,7 +292,7 @@ let test_payload_differential () =
   let st = sample_store () in
   List.iteri
     (fun i inst ->
-      let good = String.concat "\n" (Merge.payload (Store.export_summary inst)) in
+      let good = String.concat "\n" (Merge.payload (Codec_oracle.export_summary inst)) in
       List.iter check (good :: mutants ~seed:(70 + i) ~n:3000 good))
     (Store.instances st);
   (* Weight and key spellings mutations rarely reach. *)
@@ -438,7 +438,7 @@ let test_infinite_weight () =
     [ "INGEST h 1 1e308"; "INGEST h 1 1e308"; "FLUSH" ];
   let inst = Option.get (Store.find r.Wal.store "h") in
   Alcotest.(check bool) "the weight overflowed" true
-    (List.assoc 1 (Codec_oracle.weights (Store.export_summary inst)) = infinity);
+    (List.assoc 1 (Codec_oracle.weights (Codec_oracle.export_summary inst)) = infinity);
   let before = reads engine in
   Alcotest.(check bool) "PULL carries the infinite weight" true
     (List.exists (fun l -> l = "w 1 infinity")
@@ -507,7 +507,7 @@ let test_apply_no_alloc () =
     in
     Array.iter (fun (key, weight) -> apply st inst ~key ~weight) recs;
     Store.flush st;
-    ( Merge.payload (Store.export_summary inst),
+    ( Merge.payload (Codec_oracle.export_summary inst),
       Agg_oracle.column_entries (Store.pps_column inst),
       Agg_oracle.column_keys (Store.binary_column inst) )
   in

@@ -64,7 +64,7 @@ let store_of ?mode parts =
 
 let export st name =
   match Store.find st name with
-  | Some inst -> Store.export_summary inst
+  | Some inst -> Codec_oracle.export_summary inst
   | None -> Alcotest.failf "instance %s missing" name
 
 let merge_exn a b =
@@ -898,7 +898,7 @@ let samples_of inst =
   ( Agg_oracle.pps_of_column ~instance_id:(Store.id inst)
       ~tau:(Store.instance_config inst).Store.tau (Store.pps_column inst),
     Agg_oracle.column_keys (Store.binary_column inst),
-    Codec_oracle.weights (Store.export_summary inst) )
+    Codec_oracle.weights (Codec_oracle.export_summary inst) )
 
 let test_install_rebuilds_live_samples () =
   List.iter
@@ -930,7 +930,7 @@ let test_install_rebuilds_live_samples () =
                     ~family:Sampling.Rank.PPS
                     ~instance:(Store.id inst) ~k:rebuild_k
                     (Sampling.Instance.of_assoc
-                       (Codec_oracle.weights (Store.export_summary inst)))
+                       (Codec_oracle.weights (Codec_oracle.export_summary inst)))
                 in
                 let rs =
                   List.map (fun e -> e.Sampling.Bottom_k.rank)
@@ -948,7 +948,7 @@ let test_install_rebuilds_live_samples () =
           let rebuilt =
             List.map
               (fun inst ->
-                match Store.install_summary fresh (Store.export_summary inst) with
+                match Store.install_summary fresh (Codec_oracle.export_summary inst) with
                 | Ok i -> samples_of i
                 | Error m -> Alcotest.failf "install: %s" m)
               (Store.instances st)
@@ -985,7 +985,7 @@ let test_snapshot_restore_rule () =
   | Ok st2 ->
       List.iter2
         (fun i i2 ->
-          let w = Codec_oracle.weights (Store.export_summary i) in
+          let w = Codec_oracle.weights (Codec_oracle.export_summary i) in
           Alcotest.(check int) "records = key count" (List.length w)
             (Store.records i2);
           Alcotest.(check bool) "volume = ascending-key sum" true
@@ -1081,7 +1081,7 @@ let test_interleaved_deltas () =
         let want = Option.get (Store.find fresh name) in
         check_payload
           (Printf.sprintf "%s: resident %s equals a full PULL" what name)
-          (Store.export_summary want) (Store.export_summary inst);
+          (Codec_oracle.export_summary want) (Codec_oracle.export_summary inst);
         Alcotest.(check bool)
           (Printf.sprintf "%s: resident %s samples equal a full PULL's" what
              name)
@@ -1203,13 +1203,13 @@ let test_interleaved_deltas () =
             incr router_deltas;
             let delta = Result.get_ok (Merge.of_lines dlines) in
             let st = Result.get_ok (Merge.materialize (cfg ()) [ previous ]) in
-            (match Merge.apply_deltas st [ delta ] with
+            (match Merge.apply_deltas ~owner:(fun _ -> 0) st [ delta ] with
             | Ok () -> ()
             | Error m -> Alcotest.failf "%s: router delta refused: %s" what m);
             Alcotest.(check (list string))
               (what ^ ": the router's delta brings its last PULL up to date")
               lines
-              (Merge.payload (Store.export_summary (Option.get (Store.find st "a"))))
+              (Merge.payload (Codec_oracle.export_summary (Option.get (Store.find st "a"))))
           end
       | None -> ());
       let s = Result.get_ok (Merge.of_lines lines) in
@@ -1259,7 +1259,7 @@ let test_payload_mutations () =
   let since = Store.records inst in
   ingest_all st "a" (records ~seed:106 60);
   Store.flush st;
-  let delta = Store.export_summary ~since inst in
+  let delta = Codec_oracle.export_summary ~since inst in
   Alcotest.(check bool) "the delta holds some keys, not all" true
     (Array.length delta.Store.s_keys > 0
     && Array.length delta.Store.s_keys < Store.cardinality inst);
@@ -1287,7 +1287,7 @@ let test_payload_mutations () =
       Result.map ignore (Merge.materialize (cfg ()) [ s ]));
   run "delta" ~seed:107 delta (fun s ->
       Result.bind (Merge.materialize (cfg ()) [ full ]) (fun base ->
-          Merge.apply_deltas base [ s ]))
+          Merge.apply_deltas ~owner:(fun _ -> 0) base [ s ]))
 
 (* Router replies: seeded byte mutants of whole PULL replies (header
    and payload), full and [since=], each replacing one backend's reply
@@ -1298,8 +1298,10 @@ let test_payload_mutations () =
    the list codec ([Codec_oracle.of_lines]), the parts summed as sorted
    pair lists, then checked as the list-merging router checked them. A
    mutant must be accepted exactly when the oracle accepts it, with the
-   oracle's summary; a refused one must leave the resident store and
-   its cursors as they were; nothing may raise. *)
+   oracle's summary and cursors; a refused one must leave the resident
+   store and its cursors as they were; nothing may raise. Each mutant
+   meets a fresh router, and the cursors it follows are read off the
+   PULLs its next read sends. *)
 
 (* One reply text framed as a client reads it off the wire: the header
    line, then the [lines] it announces — as one block ([`Block]) or line
@@ -1451,8 +1453,24 @@ let oracle_verdict ~nb ~prev ~asked replies =
 
 let test_reply_mutations () =
   let nb = 2 in
+  (* Each daemon notes the cursor of every PULL it is sent, so the
+     cursors a router follows are read off the next round it sends. *)
+  let sent = Array.init nb (fun _ -> Atomic.make []) in
   let daemons =
-    Array.init nb (fun _ -> Daemon.start (Engine.create (Store.create (cfg ()))))
+    Array.init nb (fun i ->
+        let e = Engine.create (Store.create (cfg ())) in
+        Daemon.start_handlers
+          {
+            Daemon.on_request =
+              (fun req ->
+                (match req with
+                | P.Pull { since; _ } ->
+                    Atomic.set sent.(i) (since :: Atomic.get sent.(i))
+                | _ -> ());
+                Engine.handle_request e req);
+            on_batch =
+              (fun ~name records -> Engine.handle_ingest_many e ~name records);
+          })
   in
   let addrs =
     Array.to_list
@@ -1491,8 +1509,10 @@ let test_reply_mutations () =
   let cursor_of text =
     match frame `Block text with
     | Some (header, `Block block) ->
-        ( int_of_string (Option.get (P.json_field "epoch" header)),
-          (Result.get_ok (Merge.of_block block)).Store.s_records )
+        let field f = int_of_string (Option.get (P.json_field f header)) in
+        ( field "epoch",
+          (Result.get_ok (Merge.of_block ~lines:(field "lines") block))
+            .Store.s_records )
     | _ -> Alcotest.fail "framing a genuine reply"
   in
   let cursors = Array.map cursor_of full in
@@ -1512,7 +1532,7 @@ let test_reply_mutations () =
       texts
   in
   (* A router holding nothing, or holding [a] as the full replies left
-     it (cursors at [cursors]). *)
+     it, followed by [cursors]. *)
   let fresh ~follow =
     let t = router () in
     (if follow then
@@ -1522,14 +1542,27 @@ let test_reply_mutations () =
     t
   in
   let resident_a t =
-    Option.map Store.export_summary (Store.find (Router.resident t) "a")
+    Option.map Codec_oracle.export_summary (Store.find (Router.resident t) "a")
   in
-  let state t =
-    ( Snapshot.to_string (Router.resident t),
-      List.init nb (fun i -> Router.cursor t "a" i) )
+  (* The cursors [t] follows [a] by, as the first PULL round of a read
+     sends them ([None]: a full PULL). The read moves [t] on. *)
+  let cursors_sent t =
+    Array.iter (fun a -> Atomic.set a []) sent;
+    let resp, _ =
+      (Router.handlers t).Daemon.on_request (P.Pull { name = "a"; since = None })
+    in
+    if not (P.json_ok resp) then Alcotest.failf "read through the router: %s" resp;
+    List.init nb (fun i ->
+        match List.rev (Atomic.get sent.(i)) with
+        | since :: _ -> since
+        | [] -> Alcotest.failf "backend %d was sent no PULL" i)
   in
+  let cursors_t = Alcotest.(list (option (pair int int))) in
+  Alcotest.check cursors_t "a router follows the full replies' cursors"
+    (List.map Option.some (Array.to_list cursors))
+    (cursors_sent (fresh ~follow:true));
   let run what ~seed ~follow genuine =
-    let t = ref (fresh ~follow) in
+    let asked i = if follow then Some cursors.(i) else None in
     let accepted = ref 0 and refused = ref 0 in
     List.iter
       (fun (victim, m) ->
@@ -1555,11 +1588,11 @@ let test_reply_mutations () =
                    (function Some (h, `Lines l) -> (h, l) | _ -> assert false)
                    ls)
             in
-            let before = state !t in
-            let prev = resident_a !t in
-            let asked i = Router.cursor !t "a" i in
+            let t = fresh ~follow in
+            let before = Snapshot.to_string (Router.resident t) in
+            let prev = resident_a t in
             let want = oracle_verdict ~nb ~prev ~asked lines in
-            match Router.apply !t "a" raws with
+            (match Router.apply t "a" raws with
             | exception e ->
                 Alcotest.failf "%s: Router.apply raised %s on %S" what
                   (Printexc.to_string e) m
@@ -1568,24 +1601,21 @@ let test_reply_mutations () =
                 | Ok true, Ok (Some (s, cs)) ->
                     incr accepted;
                     check_payload (what ^ ": the oracle's summary") s
-                      (Option.get (resident_a !t));
-                    Alcotest.(check (list (option (pair int int))))
+                      (Option.get (resident_a t));
+                    Alcotest.check cursors_t
                       (what ^ ": the oracle's cursors")
                       (match cs with
                       | Some cs -> List.map Option.some cs
                       | None -> List.init nb (fun _ -> None))
-                      (List.init nb (fun i -> Router.cursor !t "a" i));
-                    Router.close !t;
-                    t := fresh ~follow
+                      (cursors_sent t)
                 | (Ok false | Error _), (Ok None | Error _) ->
                     incr refused;
-                    let after = state !t in
                     Alcotest.(check string)
-                      (what ^ ": a refusal leaves the store") (fst before)
-                      (fst after);
-                    Alcotest.(check bool)
-                      (what ^ ": a refusal leaves the cursors") true
-                      (snd before = snd after)
+                      (what ^ ": a refusal leaves the store") before
+                      (Snapshot.to_string (Router.resident t));
+                    Alcotest.check cursors_t
+                      (what ^ ": a refusal leaves the cursors")
+                      (List.init nb asked) (cursors_sent t)
                 | _ ->
                     Alcotest.failf "%s: router %s, oracle %s, on %S" what
                       (match got with
@@ -1595,12 +1625,12 @@ let test_reply_mutations () =
                       | Ok (Some _) -> "applies"
                       | Ok None -> "rebuilds"
                       | Error m -> "error " ^ m)
-                      m)))
+                      m));
+            Router.close t))
       (List.concat_map
          (fun i ->
            List.map (fun m -> (i, m)) (mutants ~seed:(seed + i) ~n:750 genuine.(i)))
          (List.init nb Fun.id));
-    Router.close !t;
     Alcotest.(check bool) (what ^ ": some mutants apply") true (!accepted > 0);
     Alcotest.(check bool) (what ^ ": some mutants are refused") true
       (!refused > 0)
@@ -1626,7 +1656,7 @@ let test_warm_delta_alloc () =
   let parts_of n =
     let st = store_of [ ("a", Array.init n (fun i -> (i + 1, 0.25))) ] in
     let inst = Option.get (Store.find st "a") in
-    let full = Store.export_summary inst in
+    let full = Codec_oracle.export_summary inst in
     let part i =
       let own =
         List.filter

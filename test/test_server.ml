@@ -216,7 +216,7 @@ let create_exn st ~name ?tau ?k ?p () =
 (* An instance's state as the batch samplers and the list oracles take
    it: the accumulated weights (from its exported summary) and its
    resident sample columns as lists. *)
-let weights inst = Codec_oracle.weights (Store.export_summary inst)
+let weights inst = Codec_oracle.weights (Codec_oracle.export_summary inst)
 let instance_of inst = I.of_assoc (weights inst)
 
 let pps_sample inst =
@@ -1677,7 +1677,7 @@ let advance_replica replica ~cfg ~pool st =
       let rs = Store.create ~pool cfg in
       List.iter
         (fun i ->
-          match Server.Merge.install rs [ Store.export_summary i ] with
+          match Server.Merge.install rs [ Codec_oracle.export_summary i ] with
           | Ok _ -> ()
           | Error m -> fail_report "install: %s" m)
         (Store.instances st);
@@ -1685,8 +1685,8 @@ let advance_replica replica ~cfg ~pool st =
   | Some (rs, cursors) ->
       List.iter2
         (fun i since ->
-          let delta = Store.export_summary ~since i in
-          match Server.Merge.apply_deltas rs [ delta ] with
+          let delta = Codec_oracle.export_summary ~since i in
+          match Server.Merge.apply_deltas ~owner:(fun _ -> 0) rs [ delta ] with
           | Ok _ -> ()
           | Error m -> fail_report "apply_delta: %s" m)
         (Store.instances st) cursors;

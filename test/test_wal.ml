@@ -232,7 +232,7 @@ let weights_of st name =
     (fun k v -> acc := (k, v) :: !acc)
     (Sampling.Instance.of_assoc
        (Codec_oracle.weights
-          (Store.export_summary (Option.get (Store.find st name)))));
+          (Codec_oracle.export_summary (Option.get (Store.find st name)))));
   List.sort compare !acc
 
 (* Bit-identical state and answers vs. the uninterrupted prefix run. *)
@@ -331,6 +331,52 @@ let test_wal_checkpoint () =
     (not (List.exists (fun n -> contains "wal-000000-" n) files));
   Wal.close r2.Wal.wal
 
+(* Keys spread over the whole int range — more than the export sort's
+   insertion-sort cutoff, their offsets from the least key past 2^55 —
+   come out of an export strictly ascending, and a snapshot and a
+   checkpoint restore them. *)
+let test_wide_keys_roundtrip () =
+  with_dir "wal" @@ fun dir ->
+  let keys =
+    [ min_int; min_int + 1; -1; 0; 1; 1 lsl 56; (1 lsl 56) + 1; max_int - 1; max_int ]
+    @ List.init 64 (fun i -> (i + 1) * 0x1E3779B97F4A7C15)
+  in
+  let want = List.sort_uniq compare keys in
+  let records = Array.of_list (List.map (fun key -> (key, 1.5)) keys) in
+  let r = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  run_ops
+    (Engine.create ~wal:r.Wal.wal r.Wal.store)
+    [
+      Wal.Create { name = "w"; tau = 60.; k = 32; p = 0.2 };
+      Wal.Ingest_batch { name = "w"; records };
+      Wal.Flush;
+    ];
+  let exported st =
+    Codec_oracle.export_summary (Option.get (Store.find st "w"))
+  in
+  let check msg st =
+    Alcotest.(check (list int)) msg want
+      (Array.to_list (exported st).Store.s_keys)
+  in
+  check "export strictly ascending" r.Wal.store;
+  (match Merge.of_lines (Merge.payload (exported r.Wal.store)) with
+  | Ok s ->
+      Alcotest.(check (list int)) "payload parses back" want
+        (Array.to_list s.Store.s_keys)
+  | Error m -> Alcotest.failf "payload refused: %s" m);
+  (match Snapshot.of_string_r (Snapshot.to_string r.Wal.store) with
+  | Ok st -> check "snapshot restores the keys" st
+  | Error e ->
+      Alcotest.failf "snapshot refused: %s" (Sampling.Io.parse_error_to_string e));
+  Alcotest.(check int) "checkpoint epoch" 1
+    (get (Wal.checkpoint r.Wal.wal r.Wal.store));
+  Wal.close r.Wal.wal;
+  let r2 = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
+  Alcotest.(check bool) "recovered on the checkpoint" true
+    (r2.Wal.checkpoint_epoch = Some 1 && r2.Wal.skipped_checkpoints = []);
+  check "checkpoint restores the keys" r2.Wal.store;
+  Wal.close r2.Wal.wal
+
 let test_wal_torn_tail_tolerated () =
   with_dir "wal" @@ fun dir ->
   let r = get (Wal.recover ~store_cfg:cfg (wal_cfg dir)) in
@@ -396,7 +442,7 @@ let v1_text st =
        c.Store.flush_every (List.length insts)
     :: List.concat_map
          (fun i ->
-           let s = Store.export_summary i in
+           let s = Codec_oracle.export_summary i in
            let ic = s.Store.s_cfg in
            (Printf.sprintf "instance %s %d %h %d %h\n" s.Store.s_name
               s.Store.s_id ic.Store.tau ic.Store.k ic.Store.p
@@ -1064,6 +1110,8 @@ let () =
             test_wal_checkpoint;
           Alcotest.test_case "version 1 checkpoint quarantined" `Quick
             test_v1_checkpoint_quarantined;
+          Alcotest.test_case "keys across the int range round trip" `Quick
+            test_wide_keys_roundtrip;
           Alcotest.test_case "torn tail tolerated and truncated" `Quick
             test_wal_torn_tail_tolerated;
           Alcotest.test_case "corrupt checkpoint falls back a generation"

@@ -156,6 +156,18 @@ if [ -n "$wal_printf_hits" ]; then
     status=1
 fi
 
+# Store discipline: an instance's weights are flat row columns found
+# through an int open-addressing index, with no boxed cell per key. A
+# Hashtbl in the store would bring the per-key cells and buckets back;
+# the one it keeps is the instance catalog, [by_name].
+store_tbl_hits=$(grep -n 'Hashtbl' "$root/lib/server/store.ml" 2>/dev/null \
+    | grep -v 'by_name')
+if [ -n "$store_tbl_hits" ]; then
+    echo "lint: Hashtbl is banned in lib/server/store.ml but for the by_name catalog — keep weights in the row columns:" >&2
+    echo "$store_tbl_hits" >&2
+    status=1
+fi
+
 # Per-key list lookups are how the sum aggregates went quadratic (one
 # List.assoc_opt walk per sampled key). Serving code and the dominance
 # norms index a sample once instead.

@@ -2,9 +2,12 @@ module P = Protocol
 module Designer = Estcore.Designer
 module Distinct = Aggregates.Distinct
 
-type t = { t_store : Store.t; t_wal : Wal.t option }
+(* [t_scratch] holds the columns every PULL exports into, grown to the
+   largest export and reused, so a PULL allocates no columns of its
+   own. *)
+type t = { t_store : Store.t; t_wal : Wal.t option; t_scratch : Store.scratch }
 
-let create ?wal s = { t_store = s; t_wal = wal }
+let create ?wal s = { t_store = s; t_wal = wal; t_scratch = Store.scratch () }
 let store t = t.t_store
 let wal t = t.t_wal
 
@@ -419,7 +422,8 @@ let handle_request t req =
              is cut from. *)
           let buf, lines =
             Numerics.Obs.span ~cat:"server" "server.pull.export" @@ fun () ->
-            Store.export_into ?since inst (fun s keys ws n ->
+            Store.export_into ~scratch:t.t_scratch ?since inst
+              (fun s keys ws n ->
                 let buf = Buffer.create (64 + (32 * n)) in
                 (buf, Merge.add_columns buf s keys ws n))
           in

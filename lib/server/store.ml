@@ -34,28 +34,18 @@ let mode_of_name = function
 
 type instance_config = { tau : float; k : int; p : float }
 
-(* A key's accumulated weight, its stamp (the instance's [records]
-   count when the key last changed) and its slot in the instance's PPS
-   column (-1 while the key is out of the sample). All-float, so the
-   record is stored flat. *)
-type cell = { mutable w : float; mutable stamp : float; mutable slot : float }
-
-(* The cell [apply_delta]'s check records for a key the instance does
-   not hold yet. *)
-let absent = { w = nan; stamp = nan; slot = -1. }
-
 (* A resident sample column: [keys.(0 .. sorted-1)] ascending, then the
    keys that entered since the last [seal] (the tail), in arrival
-   order, each with its cell. A valued column (the PPS sample) also
-   keeps each slot's sampled value, always its key's current weight:
-   [apply] writes it through the cell's [slot], and a seal that moves
-   an entry moves its slot. A key-only column (the binary sample) keeps
-   [vals] empty and leaves slots alone. *)
+   order. A valued column (the PPS sample) also keeps each entry's row
+   and sampled value, always its key's current weight: [apply] writes
+   it through the row's [row_slot], and a seal that moves an entry
+   moves its slot. A key-only column (the binary sample) keeps [vals]
+   and [rows] empty and leaves slots alone. *)
 type column = {
   valued : bool;
   mutable keys : int array;
   mutable vals : floatarray;
-  mutable cells : cell array;
+  mutable rows : int array;
   mutable len : int;
   mutable sorted : int;
 }
@@ -64,6 +54,14 @@ type column = {
    so that adding to it allocates nothing. *)
 type totals = { mutable volume : float }
 
+(* The weights are rows, one per key in arrival order (keys are never
+   removed, so rows only grow, by doubling): row [r] is key
+   [row_keys.(r)] with accumulated weight [row_w.(r)], stamped
+   [row_stamp.(r)] (the instance's [records] count when the key last
+   changed), at slot [row_slot.(r)] of the PPS column (-1 while out of
+   the sample). [index] finds a key's row: open addressing with linear
+   probing over a power-of-two table, at most half full, -1 marking an
+   empty position (a row number, so every int can be a key). *)
 type instance = {
   id : int;
   i_name : string;
@@ -73,7 +71,13 @@ type instance = {
       (* one slot: the seed of the key being applied, stored there by
          [Hashing.uniform_int_into]; the instance's one writer (its
          shard's drain, or a restore) owns it *)
-  weights : (int, cell) Hashtbl.t;
+  mutable n_rows : int;
+  mutable row_keys : int array;
+  mutable row_w : floatarray;
+  mutable row_stamp : int array;
+  mutable row_slot : int array;
+  mutable index : int array;
+  mutable shift : int;  (* [Sys.int_size] less log2 of the index size *)
   mutable i_records : int;
   totals : totals;
   pps : column;
@@ -98,10 +102,10 @@ type t = {
   mutable rev_instances : instance list;
   mutable n_instances : int;
   mutable pending_since_flush : int;  (* producer-side; see ingest *)
-  mutable held : cell array;
-      (* scratch of [apply_delta]: the cell its check found for each
-         listed key ([absent] for a new key), so the apply does not look
-         the key up again; grown to the largest delta, then reused *)
+  mutable held : int array;
+      (* scratch of [apply_delta]: the row its check found for each
+         listed key (-1 for a new key), so the apply does not look the
+         key up again; grown to the largest delta, then reused *)
 }
 
 (* Epochs: a random base drawn once per process plus a process-wide
@@ -164,7 +168,84 @@ let check_create t ~name icfg =
 let find t name = Hashtbl.find_opt t.by_name name
 let instances t = List.rev t.rev_instances
 
-(* --- record application (runs on the owning shard's drain task) --- *)
+(* --- the key index --- *)
+
+(* An odd multiplier near 2^63 / the golden ratio: the top bits of
+   [key * multiplier] are the key's home position, so keys that differ
+   only in their low bits, or only in their high ones, spread over the
+   index alike. *)
+let multiplier = 0x4F1BBCDCBFA53E0B
+
+(* The index position of [key]: its row's, or the empty one where it
+   would go. The index is never more than half full, so the probe
+   ends. *)
+let probe inst key =
+  let index = inst.index and keys = inst.row_keys in
+  let mask = Array.length index - 1 in
+  let h = ref ((key * multiplier) lsr inst.shift) in
+  while
+    let r = index.(!h) in
+    r >= 0 && keys.(r) <> key
+  do
+    h := (!h + 1) land mask
+  done;
+  !h
+
+(* The log2 of the least index size that holds [n] keys at most half
+   full: 16 positions or more. *)
+let index_bits n =
+  let rec go b = if 1 lsl b >= 2 * n then b else go (b + 1) in
+  go 4
+
+let empty_index bits = Array.make (1 lsl bits) (-1)
+
+(* Double the index and re-insert every row: the keys are distinct, so
+   each goes to the first empty position from its home. *)
+let grow_index inst =
+  let index = empty_index (Sys.int_size - inst.shift + 1) in
+  let mask = Array.length index - 1 in
+  let shift = inst.shift - 1 in
+  for r = 0 to inst.n_rows - 1 do
+    let h = ref ((inst.row_keys.(r) * multiplier) lsr shift) in
+    while index.(!h) >= 0 do
+      h := (!h + 1) land mask
+    done;
+    index.(!h) <- r
+  done;
+  inst.index <- index;
+  inst.shift <- shift
+
+(* Rows grow by half: the old columns are garbage once copied, so a
+   smaller step keeps both the slack and the copy's peak lower (the
+   summed peak RSS of a perfbench `cluster` run was 76.9 MB growing by
+   doubling, 73.3 MB by half). *)
+let grow_rows inst =
+  let n = inst.n_rows in
+  let cap = max 16 (n + (n / 2)) in
+  let keys = Array.make cap 0 and w = Float.Array.create cap in
+  let stamp = Array.make cap 0 and slot = Array.make cap (-1) in
+  Array.blit inst.row_keys 0 keys 0 n;
+  Float.Array.blit inst.row_w 0 w 0 n;
+  Array.blit inst.row_stamp 0 stamp 0 n;
+  Array.blit inst.row_slot 0 slot 0 n;
+  inst.row_keys <- keys;
+  inst.row_w <- w;
+  inst.row_stamp <- stamp;
+  inst.row_slot <- slot
+
+(* A row of weight 0 for a key the instance does not hold, whose empty
+   index position [probe] found at [h]; the caller writes its stamp.
+   Allocates nothing while rows and index have room. *)
+let add_row inst h key =
+  let r = inst.n_rows in
+  if r = Array.length inst.row_keys then grow_rows inst;
+  inst.row_keys.(r) <- key;
+  Float.Array.set inst.row_w r 0.;
+  inst.row_slot.(r) <- -1;
+  inst.n_rows <- r + 1;
+  if 2 * inst.n_rows > Array.length inst.index then grow_index inst
+  else inst.index.(h) <- r;
+  r
 
 (* --- resident sample columns --- *)
 
@@ -173,23 +254,23 @@ let column ~valued =
     valued;
     keys = [||];
     vals = Float.Array.create 0;
-    cells = [||];
+    rows = [||];
     len = 0;
     sorted = 0;
   }
 
-(* Append a key to the tail, doubling the arrays when full. *)
-let append col key c =
+(* Append row [r]'s key to the tail, doubling the arrays when full. *)
+let append inst col key r =
   let cap = Array.length col.keys in
   if col.len = cap then begin
     let cap' = max 16 (2 * cap) in
     let keys = Array.make cap' 0 in
     Array.blit col.keys 0 keys 0 col.len;
     col.keys <- keys;
-    let cells = Array.make cap' c in
-    Array.blit col.cells 0 cells 0 col.len;
-    col.cells <- cells;
     if col.valued then begin
+      let rows = Array.make cap' 0 in
+      Array.blit col.rows 0 rows 0 col.len;
+      col.rows <- rows;
       let vals = Float.Array.make cap' 0. in
       Float.Array.blit col.vals 0 vals 0 col.len;
       col.vals <- vals
@@ -197,10 +278,10 @@ let append col key c =
   end;
   let i = col.len in
   col.keys.(i) <- key;
-  col.cells.(i) <- c;
   if col.valued then begin
-    Float.Array.set col.vals i c.w;
-    c.slot <- Float.of_int i
+    col.rows.(i) <- r;
+    Float.Array.set col.vals i (Float.Array.get inst.row_w r);
+    inst.row_slot.(r) <- i
   end;
   col.len <- i + 1
 
@@ -210,7 +291,7 @@ let append col key c =
    the prefix entries above its least key. O(n + m log m) for n sorted
    keys and m entrants, with O(m) scratch; every key enters a column
    once, so this is paid once per entering key. *)
-let seal col =
+let seal inst col =
   let n = col.len and s = col.sorted in
   let keys = col.keys in
   let in_order = ref true in
@@ -221,26 +302,26 @@ let seal col =
     let m = n - s in
     let tail = Array.init m (fun j -> s + j) in
     Array.sort (fun a b -> Int.compare keys.(a) keys.(b)) tail;
-    let cells = col.cells in
+    let row i = if col.valued then col.rows.(i) else -1 in
     let tkeys = Array.map (fun i -> keys.(i)) tail in
-    let tcells = Array.map (fun i -> cells.(i)) tail in
-    (* Entry [o] now holds key [k], cell [c]. *)
-    let place o k c =
+    let trows = Array.map row tail in
+    (* Entry [o] now holds key [k], of row [r]. *)
+    let place o k r =
       keys.(o) <- k;
-      cells.(o) <- c;
       if col.valued then begin
-        Float.Array.set col.vals o c.w;
-        c.slot <- Float.of_int o
+        col.rows.(o) <- r;
+        Float.Array.set col.vals o (Float.Array.get inst.row_w r);
+        inst.row_slot.(r) <- o
       end
     in
     let i = ref (s - 1) and j = ref (m - 1) and o = ref (n - 1) in
     while !j >= 0 do
       if !i >= 0 && keys.(!i) > tkeys.(!j) then begin
-        place !o keys.(!i) cells.(!i);
+        place !o keys.(!i) (row !i);
         decr i
       end
       else begin
-        place !o tkeys.(!j) tcells.(!j);
+        place !o tkeys.(!j) trows.(!j);
         decr j
       end;
       decr o
@@ -249,55 +330,53 @@ let seal col =
   col.sorted <- n
 
 let seal_instance inst =
-  seal inst.pps;
-  seal inst.binary
+  seal inst inst.pps;
+  seal inst inst.binary
 
-(* The sample half of [apply]: key [key], cell [c], has just reached
-   its accumulated weight ([first] on its first record). Every sample is
-   a function of (weight, seed) alone, so feeding each key's final
-   weight through here once rebuilds them exactly — which is how
+(* --- record application (runs on the owning shard's drain task) --- *)
+
+(* The sample half of [apply]: key [key], row [r], has just reached its
+   accumulated weight ([first] on its first record). Every sample is a
+   function of (weight, seed) alone, so feeding each key's final weight
+   through here once rebuilds them exactly — which is how
    [install_summary] restores an instance from its weights. *)
-let sample_key inst ~first key c =
-  let v = c.w in
+let sample_key inst ~first key r =
+  let v = Float.Array.get inst.row_w r in
   Numerics.Hashing.uniform_int_into ~salt:inst.salt key inst.u 0;
   let u = Float.Array.get inst.u 0 in
   (* Same inclusion predicate as Poisson.pps_sample; monotone in v, so
      once in, a key only has its sampled value refreshed. *)
-  if c.slot >= 0. then Float.Array.set inst.pps.vals (Float.to_int c.slot) v
-  else if v >= u *. inst.icfg.tau then append inst.pps key c;
+  let slot = inst.row_slot.(r) in
+  if slot >= 0 then Float.Array.set inst.pps.vals slot v
+  else if v >= u *. inst.icfg.tau then append inst inst.pps key r;
   (* Binary support sample: decided once, on the key's first record. *)
-  if first && u <= inst.icfg.p then append inst.binary key c
+  if first && u <= inst.icfg.p then append inst inst.binary key r
 
 (* Key [key] now has weight [ws.(j)], stamped [stamp]: the weight is
    read from its column here, so no float is boxed per key. *)
 let set_weight inst ~stamp key ws j =
-  let v = Float.Array.get ws j in
-  match Hashtbl.find inst.weights key with
-  | c ->
-      c.w <- v;
-      c.stamp <- stamp;
-      sample_key inst ~first:false key c
-  | exception Not_found ->
-      let c = { w = v; stamp; slot = -1. } in
-      Hashtbl.add inst.weights key c;
-      sample_key inst ~first:true key c
+  let h = probe inst key in
+  let r = inst.index.(h) in
+  let first = r < 0 in
+  let r = if first then add_row inst h key else r in
+  Float.Array.set inst.row_w r (Float.Array.get ws j);
+  inst.row_stamp.(r) <- stamp;
+  sample_key inst ~first key r
 
-(* One record. For a key the instance holds, nothing here allocates
-   unless the key enters the PPS column: the cell, the totals and the
-   seed slot are all written in place. *)
+(* One record. Nothing here allocates unless the key enters a sample
+   column or the rows or the index grow: the row, the totals and the
+   seed slot are all written in place. A new row's weight is 0, so
+   adding [w] to it gives [w] exactly. *)
 let apply inst key w =
   inst.i_records <- inst.i_records + 1;
   inst.totals.volume <- inst.totals.volume +. w;
-  let stamp = Float.of_int inst.i_records in
-  match Hashtbl.find inst.weights key with
-  | c ->
-      c.w <- c.w +. w;
-      c.stamp <- stamp;
-      sample_key inst ~first:false key c
-  | exception Not_found ->
-      let c = { w; stamp; slot = -1. } in
-      Hashtbl.add inst.weights key c;
-      sample_key inst ~first:true key c
+  let h = probe inst key in
+  let r = inst.index.(h) in
+  let first = r < 0 in
+  let r = if first then add_row inst h key else r in
+  Float.Array.set inst.row_w r (Float.Array.get inst.row_w r +. w);
+  inst.row_stamp.(r) <- inst.i_records;
+  sample_key inst ~first key r
 
 (* --- sharded ingest --- *)
 
@@ -454,7 +533,7 @@ let name inst = inst.i_name
 let instance_config inst = inst.icfg
 let records inst = inst.i_records
 let volume inst = inst.totals.volume
-let cardinality inst = Hashtbl.length inst.weights
+let cardinality inst = inst.n_rows
 
 (* The sealed prefix: after a flush, the whole column. *)
 let view col =
@@ -485,7 +564,7 @@ type summary = {
    taken as offsets from the least key, unsigned (the offset of any two
    ints fits the word), 11 bits a pass, as many passes as the largest
    offset needs and never past the word: six at most. Short runs take an
-   insertion sort. The keys are distinct, as hashtable keys are. (An
+   insertion sort. The keys are distinct, one per row. (An
    [Array.sort] of the keys followed by a lookup of each weight takes
    about ten times as long on a 110k-key export.) *)
 let radix_bits = 11
@@ -574,44 +653,34 @@ let scratch () =
     tws = Float.Array.create 0;
   }
 
-(* The keys stamped above [since] (every key without it), gathered into
-   the scratch columns and sorted by key: hashtable iteration order
-   depends on insertion history, so anything emitted to a snapshot or a
-   merge payload is sorted first — byte-stable regardless of ingestion
-   order (regression-tested by diffing snapshots of permuted streams).
-   A key needs a record, so a delta holds at most the records since its
-   cursor: the gathered columns start at that size and double if a
-   restore's stamps make it short. *)
+(* The keys stamped above [since] (every key without it), gathered from
+   the rows into the scratch columns and sorted by key: rows are in
+   arrival order, so anything emitted to a snapshot or a merge payload
+   is sorted first — byte-stable regardless of ingestion order
+   (regression-tested by diffing snapshots of permuted streams). A
+   delta is counted before it is gathered, so the columns grow to the
+   export's exact size. *)
 let export_into ?(scratch = scratch ()) ?since inst f =
   let sc = scratch in
-  let total = Hashtbl.length inst.weights in
-  let after, hint =
-    match since with
-    | None -> (neg_infinity, total)
-    | Some r -> (Float.of_int r, min total (max 16 (inst.i_records - r)))
-  in
-  if Array.length sc.gkeys < hint then begin
-    sc.gkeys <- Array.make hint 0;
-    sc.gws <- Float.Array.create hint
-  end;
+  let total = inst.n_rows and stamps = inst.row_stamp in
+  let after = Option.value since ~default:min_int in
   let n = ref 0 in
-  Hashtbl.iter
-    (fun k c ->
-      if c.stamp > after then begin
-        if !n = Array.length sc.gkeys then begin
-          let cap = min total (2 * !n) in
-          let keys = Array.make cap 0 and ws = Float.Array.create cap in
-          Array.blit sc.gkeys 0 keys 0 !n;
-          Float.Array.blit sc.gws 0 ws 0 !n;
-          sc.gkeys <- keys;
-          sc.gws <- ws
-        end;
-        sc.gkeys.(!n) <- k;
-        Float.Array.set sc.gws !n c.w;
-        incr n
-      end)
-    inst.weights;
+  for i = 0 to total - 1 do
+    if stamps.(i) > after then incr n
+  done;
   let n = !n in
+  if Array.length sc.gkeys < n then begin
+    sc.gkeys <- Array.make n 0;
+    sc.gws <- Float.Array.create n
+  end;
+  let j = ref 0 in
+  for i = 0 to total - 1 do
+    if stamps.(i) > after then begin
+      sc.gkeys.(!j) <- inst.row_keys.(i);
+      Float.Array.set sc.gws !j (Float.Array.get inst.row_w i);
+      incr j
+    end
+  done;
   if n > 32 && Array.length sc.tkeys < n then begin
     sc.tkeys <- Array.make (Array.length sc.gkeys) 0;
     sc.tws <- Float.Array.create (Array.length sc.gkeys)
@@ -634,14 +703,17 @@ let export_into ?(scratch = scratch ()) ?since inst f =
    a subset of another store's instances answers queries with the
    original seeds. The samples are rebuilt from the weights by
    [sample_key], the code [apply] runs; every key is stamped with the
-   summary's [records]. The instance list stays in id order whatever
-   order the summaries come in. *)
+   summary's [records]. The rows and the index are sized to the
+   summary's keys, which are appended in their ascending order. The
+   instance list stays in id order whatever order the summaries come
+   in. *)
 let install_summary t s =
   match check_create t ~name:s.s_name s.s_cfg with
   | Error _ as e -> e
   | Ok () when s.s_id < 0 -> Error (Printf.sprintf "invalid instance id %d" s.s_id)
   | Ok () ->
       let n = Array.length s.s_keys in
+      let bits = index_bits n in
       let inst =
         {
           id = s.s_id;
@@ -649,14 +721,20 @@ let install_summary t s =
           icfg = s.s_cfg;
           salt = Seeds.salt t.t_seeds ~instance:s.s_id;
           u = Float.Array.make 1 0.;
-          weights = Hashtbl.create (max 1024 n);
+          n_rows = 0;
+          row_keys = Array.make n 0;
+          row_w = Float.Array.create n;
+          row_stamp = Array.make n 0;
+          row_slot = Array.make n (-1);
+          index = empty_index bits;
+          shift = Sys.int_size - bits;
           i_records = s.s_records;
           totals = { volume = s.s_volume };
           pps = column ~valued:true;
           binary = column ~valued:false;
         }
       in
-      let stamp = Float.of_int s.s_records in
+      let stamp = s.s_records in
       for i = 0 to n - 1 do
         set_weight inst ~stamp s.s_keys.(i) s.s_weights i
       done;
@@ -672,8 +750,8 @@ let install_summary t s =
 
 (* The first key of a delta part that cannot be applied, as an error:
    out of order, owned by another part, not > 0, or below the weight the
-   instance holds. The cell each key has (or [absent]) is kept in
-   [t.held] from [base] on. Allocates nothing while every key passes. *)
+   instance holds. The row each key has (or -1) is kept in [t.held] from
+   [base] on. Allocates nothing while every key passes. *)
 let check_part t inst ~owner ~base i s =
   let keys = s.s_keys and ws = s.s_weights in
   let n = Array.length keys in
@@ -692,17 +770,15 @@ let check_part t inst ~owner ~base i s =
           (Printf.sprintf "the weight %h of key %d is not > 0"
              (Float.Array.get ws j) key)
       else
-        match Hashtbl.find inst.weights key with
-        | c when Float.Array.get ws j < c.w ->
-            Error
-              (Printf.sprintf "instance %S: the weight of key %d falls to %h"
-                 inst.i_name key (Float.Array.get ws j))
-        | c ->
-            t.held.(base + j) <- c;
-            go (j + 1)
-        | exception Not_found ->
-            t.held.(base + j) <- absent;
-            go (j + 1)
+        let r = inst.index.(probe inst key) in
+        if r >= 0 && Float.Array.get ws j < Float.Array.get inst.row_w r then
+          Error
+            (Printf.sprintf "instance %S: the weight of key %d falls to %h"
+               inst.i_name key (Float.Array.get ws j))
+        else begin
+          t.held.(base + j) <- r;
+          go (j + 1)
+        end
   in
   if Array.length keys <> Float.Array.length ws then
     Error "a delta's key and weight columns differ in length"
@@ -714,7 +790,7 @@ let check_part t inst ~owner ~base i s =
    decided when the key first appeared), so the result equals
    installing the full summary. The partitions are key-disjoint (each
    key checked against its owner), so each part's columns are applied
-   as they are, with no merged copy, through the cells the check found;
+   as they are, with no merged copy, through the rows the check found;
    the totals are summed as Merge.merge_all sums them, the volumes left
    to right. Everything is checked before anything changes. *)
 let apply_delta ~owner t parts =
@@ -728,7 +804,7 @@ let apply_delta ~owner t parts =
             List.fold_left (fun acc s -> acc + Array.length s.s_keys) 0 parts
           in
           if Array.length t.held < total then
-            t.held <- Array.make (max total (2 * Array.length t.held)) absent;
+            t.held <- Array.make (max total (2 * Array.length t.held)) (-1);
           let rec check i base records = function
             | [] ->
                 if records < inst.i_records then
@@ -767,18 +843,18 @@ let apply_delta ~owner t parts =
                 List.fold_left
                   (fun v s -> v +. s.s_volume)
                   first.s_volume rest;
-              let stamp = Float.of_int records in
+              let stamp = records in
               ignore
                 (List.fold_left
                    (fun base s ->
                      let keys = s.s_keys and ws = s.s_weights in
                      for j = 0 to Array.length keys - 1 do
-                       let c = t.held.(base + j) in
-                       if c == absent then set_weight inst ~stamp keys.(j) ws j
+                       let r = t.held.(base + j) in
+                       if r < 0 then set_weight inst ~stamp keys.(j) ws j
                        else begin
-                         c.w <- Float.Array.get ws j;
-                         c.stamp <- stamp;
-                         sample_key inst ~first:false keys.(j) c
+                         Float.Array.set inst.row_w r (Float.Array.get ws j);
+                         inst.row_stamp.(r) <- stamp;
+                         sample_key inst ~first:false keys.(j) r
                        end
                      done;
                      base + Array.length keys)

@@ -2,7 +2,11 @@
     summaries.
 
     The state of an instance is its counters ([records], [volume]) and
-    its per-key accumulated weight map. On top of the weights it keeps
+    its per-key accumulated weights, held as flat row columns: one row
+    per key in arrival order (key, weight, stamp and PPS slot, each an
+    unboxed column), found through an [int array] open-addressing index
+    of row numbers. Keys are never removed, so rows only grow. Every
+    int is a valid key. On top of the weights it keeps
     the Section 7.1 samples the queries read, each a pure function of
     the accumulated weights and the recorded seeds, maintained live as
     records arrive:
@@ -21,7 +25,8 @@
     reports, is [min k] and the key count.
 
     Applying a record to a key the instance already holds allocates
-    nothing unless the key enters the PPS sample: the key's cell, the
+    nothing unless the key enters the PPS sample, nor does a record of a
+    new key while the rows and the index have room: the key's row, the
     instance's counters and the seed (from the instance's salt, computed
     once) are all written in place.
 
@@ -225,7 +230,7 @@ val bottom_k_size : instance -> int
     A [summary] is the complete, order-independent export of one
     instance: its counters and its weights as two ascending unboxed
     columns, so serializing a summary is byte-stable whatever the
-    ingestion order or hashtable state. {!Merge.add_payload} is its one
+    ingestion order or row order. {!Merge.add_payload} is its one
     serialization: PULL ships it, and every snapshot section is one. *)
 
 type summary = {
@@ -258,8 +263,9 @@ val export_into :
     instance's counters with no weights, and the first [n] entries of
     [keys] and [ws] the weights as ascending columns. With
     [~since:records], only the keys stamped above that count — the keys
-    changed after the instance had applied [records] records — with the
-    counters still the current totals. The keys are gathered into an
+    changed after the instance had applied [records] records, found by
+    one scan of the stamp column — with the counters still the current
+    totals. The keys are gathered into an
     [int array] and radix-sorted there, their weights moving with them
     in a [floatarray] (no list, no boxed pair). The columns are the scratch's (a fresh
     one when none is given): valid only during [f], and until the
@@ -274,8 +280,9 @@ val install_summary : t -> summary -> (instance, string) result
     the per-key code ingestion runs, so they equal the
     exporting instance's samples and the materialized store answers
     queries bit-identically. The weights must be positive with distinct
-    keys. Every key is stamped with the summary's records. The
-    instance takes its place in {!instances} by id. [Error] when
+    keys. Every key is stamped with the summary's records. The rows and
+    the index are sized to the summary's keys, appended in their order.
+    The instance takes its place in {!instances} by id. [Error] when
     {!check_create} fails or the id is negative. *)
 
 val apply_delta :

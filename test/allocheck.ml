@@ -42,12 +42,18 @@ let minor_words_per_call ?(runs = 20) ?(warmup = 3) f =
 
 (* Words one call of [f] allocates in both heaps — minor words plus
    words allocated directly in the major heap, promotions not counted
-   twice — averaged over [runs] calls after [warmup] ones. *)
-let words_per_call ?(runs = 20) ?(warmup = 3) f =
+   twice — averaged over [runs] calls after [warmup] ones. The runtime
+   adds a domain's allocations to [Gc.quick_stat]'s counts only at a
+   minor collection: with [~settle:true] each reading forces one first,
+   so the count is exact; without, a reading may miss the words
+   allocated since the last collection, or take in words from before
+   the window. *)
+let words_per_call ?(runs = 20) ?(warmup = 3) ?(settle = false) f =
   for _ = 1 to warmup do
     f ()
   done;
   let total () =
+    if settle then Gc.minor ();
     let s = Gc.quick_stat () in
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
   in

@@ -520,6 +520,274 @@ let test_apply_no_alloc () =
     (build ingest
     = build (fun _ inst ~key ~weight -> Store.apply_record inst ~key ~weight))
 
+(* A new key into an instance whose rows and index have room writes
+   three int columns, a float column and one index position: nothing is
+   allocated. The keys stay out of both samples, so no column grows. *)
+let test_new_key_no_alloc () =
+  let st = Store.create { Store.default_config with Store.master = 3 } in
+  let inst =
+    get (Store.create_instance st ~name:"out" ~tau:1e300 ~k:4 ~p:1e-9 ())
+  in
+  (* 1400 keys: the rows have grown to 2053 and the index to 4096
+     positions, room for 648 more keys before either grows. *)
+  for key = 1 to 1400 do
+    Store.apply_record inst ~key ~weight:2.
+  done;
+  let next = ref 0 in
+  let apply_new () =
+    incr next;
+    Store.apply_record inst ~key:(- !next * 0x9E3779B1) ~weight:2.
+  in
+  Allocheck.assert_no_alloc ~runs:300 ~warmup:10 "apply a new key" apply_new;
+  (* Grown columns would be allocated in the major heap, which the
+     minor count does not see: count both heaps too. Over 300 calls the
+     measurement's own words come to less than one per call. *)
+  let words =
+    Allocheck.words_per_call ~settle:true ~runs:300 ~warmup:0 apply_new
+  in
+  if Allocheck.is_native then
+    Alcotest.(check bool)
+      (Printf.sprintf "a new key allocates in neither heap (%.3f words/call)"
+         words)
+      true (words < 1.);
+  Alcotest.(check int) "every key is a row" (1400 + 610)
+    (Store.cardinality inst);
+  Alcotest.(check int) "no key entered a sample" 0
+    ((Store.pps_column inst).Aggregates.Column.len
+    + (Store.binary_column inst).Aggregates.Column.len)
+
+(* Restoring an instance sizes its rows and its index to the summary's
+   keys and appends them: four words per key for the rows (key, weight,
+   stamp, PPS slot) and at most four for the index, which is at most
+   half full — 131072 positions for 50k keys, 2.6 words per key. The
+   keys stay out of both samples, so the bound counts the columns and
+   the index only. *)
+let test_install_words () =
+  let n = 50_000 in
+  let keys = Array.init n (fun i -> (3 * i) - 70_000) in
+  let s =
+    {
+      Store.s_name = "big";
+      s_id = 0;
+      s_cfg = { Store.tau = 1e300; k = 4; p = 1e-9 };
+      s_records = n;
+      s_volume = float_of_int n;
+      s_keys = keys;
+      s_weights = Float.Array.make n 1.;
+    }
+  in
+  let install () =
+    let st = Store.create Store.default_config in
+    let inst = get (Store.install_summary st s) in
+    if Store.cardinality inst <> n then Alcotest.fail "install lost keys"
+  in
+  let words = Allocheck.words_per_call ~settle:true ~runs:4 ~warmup:1 install in
+  if Allocheck.is_native then
+    Alcotest.(check bool)
+      (Printf.sprintf "install allocates at most 7 words per key (%.2f)"
+         (words /. float_of_int n))
+      true
+      (words <= 7. *. float_of_int n)
+
+(* ------------------------------------------------------------------ *)
+(* Rows and key index against the Hashtbl oracle                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The multiplier of the store's key index: [key · multiplier] is [i]
+   for [key = i · inverse], so such keys share one home position and
+   each probes past all the others. (Were the multiplier to change,
+   these keys would only stop colliding.) *)
+let index_multiplier = 0x4F1BBCDCBFA53E0B
+
+(* Newton's iteration for the inverse of an odd int modulo 2^63: each
+   step doubles the correct low bits, from 3. *)
+let inverse m =
+  let x = ref m in
+  for _ = 1 to 6 do
+    x := !x * (2 - (m * !x))
+  done;
+  !x
+
+let key_gen =
+  let open QCheck.Gen in
+  let inv = inverse index_multiplier in
+  frequency
+    [
+      ( 2,
+        oneofl
+          [ min_int; min_int + 1; -1; 0; 1; 1 lsl 56; max_int; max_int - 1 ] );
+      (4, int_range (-300) 300);
+      (* low 48 bits shared *)
+      (3, map (fun i -> i lsl 48) (int_range (-64) 63));
+      (2, map (fun i -> (i lsl 56) lor 0x5A5A) (int_range (-64) 63));
+      (* one home position *)
+      (3, map (fun i -> i * inv) (int_range 0 3000));
+      (4, int);
+    ]
+
+let weight_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun i -> 0.25 *. float_of_int (1 + i)) (int_bound 63));
+        (1, map (fun i -> Float.ldexp 1. i) (int_range (-30) 30));
+      ])
+
+(* Two instances, a stream of records to either, and the keys of a
+   delta. *)
+type stream = {
+  recs : (int * int * float) array;  (* instance, key, weight *)
+  delta_keys : int list;
+}
+
+let stream_gen ~max_len =
+  QCheck.Gen.(
+    map2
+      (fun recs delta_keys -> { recs = Array.of_list recs; delta_keys })
+      (list_size (int_range 0 max_len)
+         (triple (int_bound 1) key_gen weight_gen))
+      (list_size (int_range 1 60) key_gen))
+
+let oracle_names = [| ("a", 2., 0.3); ("b", 50., 0.05) |]
+let oracle_config =
+  { Store.default_config with Store.master = 11; flush_every = 97 }
+
+(* The store and its oracle agree on the snapshot text, both sample
+   columns and the key count. *)
+let check_oracle what st o =
+  Alcotest.(check string) (what ^ ": snapshot") (Store_oracle.snapshot o)
+    (Snapshot.to_string st);
+  List.iter
+    (fun (oi : Store_oracle.inst) ->
+      let inst = Option.get (Store.find st oi.Store_oracle.name) in
+      let where = what ^ " " ^ oi.Store_oracle.name in
+      Alcotest.(check (list (pair int (float 0.))))
+        (where ^ ": pps column") (Store_oracle.pps o oi)
+        (Agg_oracle.column_entries (Store.pps_column inst));
+      Alcotest.(check (list int)) (where ^ ": binary column")
+        (Store_oracle.binary o oi)
+        (Agg_oracle.column_keys (Store.binary_column inst));
+      Alcotest.(check int) (where ^ ": cardinality")
+        (Store_oracle.cardinality oi) (Store.cardinality inst))
+    o.Store_oracle.insts
+
+(* Feed the stream to a store (through the mailboxes, flushing every 97
+   records) and to the oracle; compare them, and the export since the
+   half-way cursor. Then a delta over some held keys (weights doubled)
+   and the stream's delta keys the instance lacks: each corrupted
+   variant is refused and leaves the store as it was, and the valid one
+   matches the oracle. *)
+let run_oracle_stream { recs; delta_keys } =
+  let st = Store.create oracle_config in
+  let o = Store_oracle.create oracle_config in
+  Array.iter
+    (fun (name, tau, p) ->
+      ignore (get (Store.create_instance st ~name ~tau ~k:8 ~p ()));
+      ignore (Store_oracle.create_instance o ~name { Store.tau; k = 8; p }))
+    oracle_names;
+  let n = Array.length recs in
+  let cursors = ref [] in
+  Array.iteri
+    (fun j (i, key, weight) ->
+      if j = n / 2 then begin
+        Store.flush st;
+        cursors :=
+          List.map (fun (oi : Store_oracle.inst) -> oi.Store_oracle.records)
+            o.Store_oracle.insts
+      end;
+      let name, _, _ = oracle_names.(i) in
+      (match Store.ingest st ~name ~key ~weight with
+      | Ok () -> ()
+      | Error e ->
+          Alcotest.failf "ingest: %s" (Store.ingest_error_to_string e));
+      Store_oracle.apply (Store_oracle.find o name) ~key ~weight)
+    recs;
+  check_oracle "stream" st o;
+  List.iter2
+    (fun (oi : Store_oracle.inst) since ->
+      let inst = Option.get (Store.find st oi.Store_oracle.name) in
+      Alcotest.(check (list (pair int (float 0.))))
+        (Printf.sprintf "%s: export since %d" oi.Store_oracle.name since)
+        (Store_oracle.weights ~since oi)
+        (O.weights (O.export_summary ~since inst)))
+    o.Store_oracle.insts
+    (if !cursors = [] then [ 0; 0 ] else !cursors);
+  let oa = Store_oracle.find o "a" in
+  let inst = Option.get (Store.find st "a") in
+  let held = Store_oracle.weights oa in
+  let grown =
+    List.filteri (fun i _ -> i mod 3 = 0) held
+    |> List.map (fun (k, w) -> (k, 2. *. w))
+  in
+  let fresh =
+    List.sort_uniq Int.compare
+      (List.filter
+         (fun k -> not (Hashtbl.mem oa.Store_oracle.weights k))
+         delta_keys)
+    |> List.map (fun k -> (k, 1.5))
+  in
+  let pairs =
+    List.sort (fun (a, _) (b, _) -> Int.compare a b) (grown @ fresh)
+  in
+  let summary pairs =
+    O.with_weights
+      {
+        (O.export_summary inst) with
+        Store.s_records = oa.Store_oracle.records + List.length pairs;
+        s_volume = oa.Store_oracle.volume +. 1.;
+      }
+      pairs
+  in
+  let before = Snapshot.to_string st in
+  let last = List.length pairs - 1 in
+  let mutants =
+    [
+      ("a weight falls", List.map (fun (k, w) -> (k, w /. 4.)) grown);
+      ( "a weight is 0",
+        List.mapi (fun i (k, w) -> (k, if i = last then 0. else w)) pairs );
+      ("keys out of order", pairs @ [ List.hd pairs ]);
+    ]
+  in
+  List.iter
+    (fun (what, bad) ->
+      if bad <> [] && bad <> pairs then begin
+        (match Store.apply_delta ~owner:(fun _ -> 0) st [ summary bad ] with
+        | Ok _ -> Alcotest.failf "a delta with %s was applied" what
+        | Error _ -> ());
+        Alcotest.(check string) ("refused delta (" ^ what ^ ") changes nothing")
+          before (Snapshot.to_string st);
+        check_oracle ("after a refused delta (" ^ what ^ ")") st o
+      end)
+    mutants;
+  let good = summary pairs in
+  ignore (get (Store.apply_delta ~owner:(fun _ -> 0) st [ good ]));
+  Store_oracle.apply_delta oa good;
+  check_oracle "after the delta" st o;
+  true
+
+let print_stream { recs; delta_keys } =
+  Printf.sprintf "%d records, %d delta keys" (Array.length recs)
+    (List.length delta_keys)
+
+let test_rows_oracle =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 23 |])
+    (QCheck.Test.make ~count:40 ~name:"rows and index match a Hashtbl oracle"
+       (QCheck.make ~print:print_stream (stream_gen ~max_len:4000))
+       run_oracle_stream)
+
+(* One long stream of 60k records: some 17k distinct keys, so the rows
+   and the index double a dozen times. *)
+let test_rows_oracle_long () =
+  let rand = Random.State.make [| 29 |] in
+  let record = QCheck.Gen.(triple (int_bound 1) key_gen weight_gen) in
+  ignore
+    (run_oracle_stream
+       {
+         recs = Array.init 60_000 (fun _ -> record rand);
+         delta_keys = QCheck.Gen.(list_size (return 60) key_gen) rand;
+       })
+
 let () =
   Alcotest.run "codec"
     [
@@ -550,5 +818,12 @@ let () =
             test_infinite_weight;
           Alcotest.test_case "warm apply allocates nothing" `Quick
             test_apply_no_alloc;
+          Alcotest.test_case "a new key with room allocates nothing" `Quick
+            test_new_key_no_alloc;
+          Alcotest.test_case "install allocates the columns and index only"
+            `Quick test_install_words;
+          test_rows_oracle;
+          Alcotest.test_case "a long stream matches the Hashtbl oracle" `Quick
+            test_rows_oracle_long;
         ] );
     ]
